@@ -7,8 +7,8 @@ GO ?= go
 COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
-	search-check trace-check obs-check bench bench-snapshot bench-check \
-	bench-diff
+	search-check trace-check obs-check hostbench-test bench bench-snapshot \
+	bench-check bench-diff
 
 all: build
 
@@ -91,8 +91,15 @@ obs-check:
 	$(GO) test -run 'TestAttributeIdenticalZero' -count=1 -v ./internal/bench/
 	$(GO) run ./cmd/swbench -bench-diff BENCH_baseline.json BENCH_baseline.json
 
+# Host-clock benchmark gate tests: metric names against BENCHMARK.json and
+# the correctness gate firing on tampered references, one-ulp-off machine
+# seconds and bad serving responses. hostbench is its own module, so
+# `go test ./...` at the root does not reach it.
+hostbench-test:
+	cd hostbench && $(GO) test ./...
+
 # The tier-1 loop: what every change must keep green.
-ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check
+ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check hostbench-test
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -318,6 +318,9 @@ func (st *state) stmt(s ir.Stmt) error {
 		if err != nil {
 			return err
 		}
+		if st.opt.Functional {
+			buf.Data = make([]float32, buf.Elems)
+		}
 		st.spm[x.Buf] = buf
 		st.m.NoteSPMUsage()
 		return nil
@@ -409,19 +412,26 @@ func (st *state) dma(x *ir.DMAOp) error {
 		frame = packedStrides(extent)
 	}
 
+	// Bounds check the frame footprint in both modes: a timed-only buffer
+	// carries no data, but its frames must fit all the same.
+	maxOff := bufOff
+	for d := 0; d < nd; d++ {
+		maxOff += (extent[d] - 1) * frame[d]
+	}
+	if maxOff >= buf.Elems || bufOff < 0 {
+		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", bufOff, maxOff, buf.Name, buf.Elems)
+	}
 	if st.opt.Functional {
-		if err := st.moveData(t, region, buf, bufOff, frame, mv.Dir); err != nil {
-			return err
-		}
+		st.moveData(t, region, buf, bufOff, frame, mv.Dir)
 	}
 
 	// Timing: flatten the main-memory side into strided blocks and issue
 	// one engine request covering them (uniform geometry).
-	descs, err := region.FlattenMulti(t)
+	first, count, err := region.FlattenSummary(t)
 	if err != nil {
 		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
 	}
-	req := requestFromBlocks(descs, mv.Dir != ir.Get)
+	req := requestFromBlocks(first, count, mv.Dir != ir.Get)
 	if err := st.m.IssueDMA(x.Reply, req); err != nil {
 		return err
 	}
@@ -433,16 +443,12 @@ func (st *state) dma(x *ir.DMAOp) error {
 	return nil
 }
 
-// requestFromBlocks converts the CG-level flattened pattern into a DMA
-// request, modelling the 64-way distribution: when there are fewer blocks
-// than CPEs, each block is subdivided so all CPEs participate (smaller
-// per-CPE blocks, more transaction edges).
-func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
-	total := 0
-	for _, d := range descs {
-		total += d.Count
-	}
-	first := descs[0]
+// requestFromBlocks converts the CG-level flattened pattern — total blocks
+// of first's geometry — into a DMA request, modelling the 64-way
+// distribution: when there are fewer blocks than CPEs, each block is
+// subdivided so all CPEs participate (smaller per-CPE blocks, more
+// transaction edges).
+func requestFromBlocks(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 	blockBytes := first.Block * 4
 	strideBytes := first.Stride * 4
 	if total < sw26010.NumCPE && blockBytes > sw26010.TransactionBytes {
@@ -466,17 +472,9 @@ func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
 }
 
 // moveData performs the functional scatter/gather between a tensor region
-// and an SPM frame.
-func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, bufOff int, frame []int, dir ir.MoveDir) error {
+// and an SPM frame the caller has bounds-checked.
+func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, bufOff int, frame []int, dir ir.MoveDir) {
 	nd := t.Rank()
-	// Bounds check the frame footprint.
-	maxOff := bufOff
-	for d := 0; d < nd; d++ {
-		maxOff += (r.Extent[d] - 1) * frame[d]
-	}
-	if maxOff >= len(buf.Data) || bufOff < 0 {
-		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", bufOff, maxOff, buf.Name, len(buf.Data))
-	}
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {
 		if d == nd {
@@ -499,7 +497,6 @@ func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuf
 		}
 	}
 	rec(0, 0, bufOff)
-	return nil
 }
 
 func packedStrides(extent []int) []int {
@@ -523,6 +520,27 @@ func (st *state) gemm(x *ir.Gemm) error {
 		ATrans: x.ATrans, BTrans: x.BTrans,
 		Vec: x.Vec, Accumulate: x.Accumulate, Specialized: x.Specialized,
 	}
+	// Operand offsets are checked against the buffers' capacity in both
+	// modes, so a timed-only run rejects the same accesses a functional one
+	// would.
+	a, err := st.buffer(x.A)
+	if err != nil {
+		return err
+	}
+	b, err := st.buffer(x.B)
+	if err != nil {
+		return err
+	}
+	c, err := st.buffer(x.C)
+	if err != nil {
+		return err
+	}
+	ao := int(x.AOff.Eval(st.env))
+	bo := int(x.BOff.Eval(st.env))
+	co := int(x.COff.Eval(st.env))
+	if ao < 0 || bo < 0 || co < 0 || ao > a.Elems || bo > b.Elems || co > c.Elems {
+		return fmt.Errorf("gemm: operand offset out of range (%d, %d, %d)", ao, bo, co)
+	}
 	secs, err := primitives.GemmTime(spec)
 	if err != nil {
 		return fmt.Errorf("gemm: %w", err)
@@ -536,24 +554,6 @@ func (st *state) gemm(x *ir.Gemm) error {
 	st.m.Counters.Flops += spec.FLOPs()
 
 	if st.opt.Functional {
-		a, err := st.buffer(x.A)
-		if err != nil {
-			return err
-		}
-		b, err := st.buffer(x.B)
-		if err != nil {
-			return err
-		}
-		c, err := st.buffer(x.C)
-		if err != nil {
-			return err
-		}
-		ao := int(x.AOff.Eval(st.env))
-		bo := int(x.BOff.Eval(st.env))
-		co := int(x.COff.Eval(st.env))
-		if ao < 0 || bo < 0 || co < 0 || ao > len(a.Data) || bo > len(b.Data) || co > len(c.Data) {
-			return fmt.Errorf("gemm: operand offset out of range (%d, %d, %d)", ao, bo, co)
-		}
 		if err := primitives.Gemm(spec, a.Data[ao:], b.Data[bo:], c.Data[co:]); err != nil {
 			return fmt.Errorf("gemm: %w", err)
 		}

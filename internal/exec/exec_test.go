@@ -344,3 +344,50 @@ func TestWaitTraceEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestSPMDataOnlyWhenFunctional: timed-only runs account scratch-pad
+// capacity without storage; functional runs attach exactly Elems values.
+func TestSPMDataOnlyWhenFunctional(t *testing.T) {
+	for _, functional := range []bool{false, true} {
+		p := manualProgram()
+		p.Body = p.Body[:len(p.Body)-3] // keep the buffers live after the run
+		m := sw26010.NewMachine()
+		if _, err := Run(p, bind3(), Options{Functional: functional, Machine: m}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			buf, err := m.SPM().Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case !functional && buf.Data != nil:
+				t.Fatalf("timed-only buffer %s carries %d values", name, len(buf.Data))
+			case functional && len(buf.Data) != buf.Elems:
+				t.Fatalf("functional buffer %s has %d values, want %d", name, len(buf.Data), buf.Elems)
+			}
+		}
+	}
+}
+
+// TestSPMBoundsCheckedInBothModes: a DMA frame or GEMM operand reaching
+// past its buffer fails timed-only runs exactly like functional ones.
+func TestSPMBoundsCheckedInBothModes(t *testing.T) {
+	cases := map[string]func(p *ir.Program){
+		"dma frame": func(p *ir.Program) {
+			p.Body[3].(*ir.RegionMove).BufOff = ir.Const(1)
+		},
+		"gemm offset": func(p *ir.Program) {
+			p.Body[6].(*ir.Gemm).COff = ir.Const(17)
+		},
+	}
+	for name, mutate := range cases {
+		for _, functional := range []bool{false, true} {
+			p := manualProgram()
+			mutate(p)
+			if _, err := Run(p, bind3(), Options{Functional: functional}); err == nil {
+				t.Fatalf("%s out of range (functional=%v) must fail", name, functional)
+			}
+		}
+	}
+}

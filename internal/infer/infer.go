@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"swatop/internal/autotune"
@@ -42,9 +43,61 @@ const (
 )
 
 // Engine runs networks. Construct once (fitting the cost model is the
-// per-machine offline calibration) and reuse across runs.
+// per-machine offline calibration) and reuse across runs; concurrent Runs
+// on one Engine are safe.
 type Engine struct {
 	model *costmodel.GemmModel
+	// compiled is the compiled-schedule table: library hits' compiled
+	// programs and timed-only seconds, keyed by compiledKey (see
+	// resolveOp).
+	compiled lazyMap[compiledSchedule]
+	// baselines memoizes baselineSeconds per node shape.
+	baselines lazyMap[baselineTime]
+}
+
+// lazyMap is a mutex-guarded string-keyed memo whose storage is created on
+// first put, so NewEngine pays nothing for an engine that never replays.
+type lazyMap[V any] struct {
+	mu sync.Mutex
+	m  map[string]V
+}
+
+func (l *lazyMap[V]) get(key string) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	v, ok := l.m[key]
+	return v, ok
+}
+
+func (l *lazyMap[V]) put(key string, v V) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.m == nil {
+		l.m = map[string]V{}
+	}
+	l.m[key] = v
+}
+
+// compiledSchedule is one compiled-schedule table entry: the program a
+// cached strategy compiles to and its timed-only seconds on a fresh
+// machine (what resolveConv compares methods by).
+type compiledSchedule struct {
+	prog *ir.Program
+	secs float64
+}
+
+// compiledKey keys the compiled-schedule table by operator signature and
+// strategy: a library entry replaced under the same signature never
+// resolves to the old program.
+func compiledKey(signature, strategy string) string {
+	return signature + "\x00" + strategy
+}
+
+// baselineTime is one memoized baseline measurement; ok is false when the
+// shape has no usable manual-library program.
+type baselineTime struct {
+	secs float64
+	ok   bool
 }
 
 // NewEngine fits the autotuner's cost model.
@@ -289,7 +342,10 @@ func (r *Result) GFLOPS() float64 {
 
 // resolvedOp is one operator node's schedule resolution.
 type resolvedOp struct {
-	prog      *ir.Program
+	prog *ir.Program
+	// secs is prog's timed-only seconds on a fresh machine when the
+	// compiled-schedule table supplied it; 0 until measured.
+	secs      float64
 	strategy  string
 	method    string // winning conv lowering method ("" for gemm/degraded)
 	spaceSize int
@@ -364,7 +420,6 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		functional:   opts.Functional,
 		tolerance:    opts.Tolerance,
 		skipBaseline: opts.SkipBaseline,
-		baseMemo:     map[string]float64{},
 	}
 	execT0 := time.Now()
 	if err := e.execNodes(ctx, g, g.Topo(), resolved, ts, res, timeline, env); err != nil {
@@ -415,10 +470,9 @@ func finishRun(opts Options, g *graph.Graph, res *Result) {
 }
 
 // execEnv is one machine's execution context. The single path uses the
-// root registry, no group tag and the run's baseline memo; fleet groups
-// use a scoped registry (cluster.GroupPrefix) and their group index, so
-// concurrent groups touch disjoint metric names and the merged snapshot
-// stays deterministic.
+// root registry and no group tag; fleet groups use a scoped registry
+// (cluster.GroupPrefix) and their group index, so concurrent groups touch
+// disjoint metric names and the merged snapshot stays deterministic.
 type execEnv struct {
 	m            *sw26010.Machine
 	reg          *metrics.Registry
@@ -427,7 +481,6 @@ type execEnv struct {
 	functional   bool
 	tolerance    float64
 	skipBaseline bool
-	baseMemo     map[string]float64
 }
 
 // label is the group tag threaded into exec observer events ("group2");
@@ -544,7 +597,7 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 		layer.Trace = layerLog
 
 		if !env.skipBaseline {
-			layer.BaselineSeconds = baselineSeconds(n, layer.Seconds, env.baseMemo)
+			layer.BaselineSeconds = e.baselineSeconds(n, layer.Seconds)
 			res.BaselineSeconds += layer.BaselineSeconds
 		}
 		if env.obs.Enabled() {
@@ -643,9 +696,10 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 // every applicable lowering method (implicit GEMM when the input-channel
 // count sustains it, explicit im2col, Winograd F(2x2,3x3) when the shape
 // qualifies) is tuned — or fetched from the library — independently, each
-// winner is re-timed on a fresh machine, and the fastest method's program
-// is kept. The method sweep is a fixed order with strict improvement, so
-// the choice is deterministic and identical between cached and fresh runs.
+// winner is timed on a fresh machine (a library hit takes that time from
+// the compiled-schedule table), and the fastest method's program is kept.
+// The method sweep is a fixed order with strict improvement, so the choice
+// is deterministic and identical between cached and fresh runs.
 func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*resolvedOp, error) {
 	type method struct {
 		name string
@@ -684,12 +738,14 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 			}
 			continue
 		}
-		secs, err := timeProgram(r.prog)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		secs := r.secs
+		if secs == 0 {
+			if secs, err = timeProgram(r.prog); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
-			continue
 		}
 		r.strategy = m.name + " " + r.strategy
 		r.method = m.name
@@ -749,20 +805,30 @@ func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*resolvedOp, 
 var errNoTune = errors.New("tuning disabled (schedule not in library)")
 
 // resolveOp mirrors the facade tuner's cache-then-tune flow for one
-// operator: a library hit recompiles the cached strategy (stale entries are
-// dropped and retuned), a miss runs the model-based search and records the
-// result.
+// operator: a library hit takes the cached strategy's program from the
+// compiled-schedule table, compiling and timing it on the table's first
+// sight of that signature and strategy (stale entries that no longer
+// compile are dropped and retuned); a miss runs the model-based search and
+// records the result. Only library hits enter the table — fresh tunes and
+// degraded fallbacks never do — so the library alone decides every pick.
 func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Options) (*resolvedOp, error) {
 	if opts.Library != nil {
 		if ent, ok := opts.Library.Get(op.Name()); ok {
-			prog, err := op.Compile(ent.Strategy())
+			st := ent.Strategy()
+			r := &resolvedOp{strategy: st.String(), spaceSize: ent.SpaceSize, cached: true}
+			key := compiledKey(op.Name(), r.strategy)
+			if c, ok := e.compiled.get(key); ok {
+				r.prog, r.secs = c.prog, c.secs
+				return r, nil
+			}
+			prog, err := op.Compile(st)
 			if err == nil {
-				return &resolvedOp{
-					prog:      prog,
-					strategy:  ent.Strategy().String(),
-					spaceSize: ent.SpaceSize,
-					cached:    true,
-				}, nil
+				r.prog = prog
+				if secs, err := timeProgram(prog); err == nil {
+					r.secs = secs
+					e.compiled.put(key, compiledSchedule{prog: prog, secs: secs})
+				}
+				return r, nil
 			}
 			opts.Library.Delete(op.Name())
 		}
@@ -991,45 +1057,57 @@ func maxAbsErrFlat(want, got *tensor.Tensor) (float64, error) {
 
 // baselineSeconds measures the manual-library implementation of a node on
 // a fresh machine (swDNN implicit where its batch restriction allows,
-// manual explicit-GEMM otherwise; xMath for the fully-connected layers).
-// Glue stubs cost the same in both runtimes; an operator with no usable
-// baseline conservatively reports the tuned time.
-func baselineSeconds(n *graph.Node, tuned float64, memo map[string]float64) float64 {
+// manual explicit-GEMM otherwise; xMath for the fully-connected layers),
+// memoized per shape for the engine's lifetime and looked up before any
+// program is built. Glue stubs cost the same in both runtimes; an operator
+// with no usable baseline conservatively reports the tuned time.
+func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
 	var key string
-	var progs []func() (*ir.Program, error)
 	switch n.Kind {
 	case graph.Conv:
+		key = "conv:" + n.Conv.String()
+	case graph.Gemm:
+		key = "gemm:" + n.Gemm.String()
+	default:
+		return tuned
+	}
+	b, ok := e.baselines.get(key)
+	if !ok {
+		b = measureBaseline(n)
+		e.baselines.put(key, b)
+	}
+	if !b.ok {
+		return tuned
+	}
+	return b.secs
+}
+
+// measureBaseline times the first manual-library program that builds and
+// runs for an operator node.
+func measureBaseline(n *graph.Node) baselineTime {
+	var progs []func() (*ir.Program, error)
+	if n.Kind == graph.Conv {
 		s := n.Conv
-		key = "conv:" + s.String()
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.SwDNNImplicit(s) },
 			func() (*ir.Program, error) { return baseline.ManualExplicit(s) },
 		}
-	case graph.Gemm:
+	} else {
 		p := n.Gemm
-		key = "gemm:" + p.String()
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.XMathGemm(p) },
 		}
-	default:
-		return tuned
 	}
-	if v, ok := memo[key]; ok {
-		return v
-	}
-	v := tuned
 	for _, mk := range progs {
 		prog, err := mk()
 		if err != nil {
 			continue
 		}
 		if s, err := timeProgram(prog); err == nil {
-			v = s
-			break
+			return baselineTime{secs: s, ok: true}
 		}
 	}
-	memo[key] = v
-	return v
+	return baselineTime{}
 }
 
 func timeProgram(prog *ir.Program) (float64, error) {

@@ -81,13 +81,16 @@ func (r *Registry) Snapshot() Snapshot {
 				continue
 			}
 			hs := HistogramSnapshot{
-				Count:  h.Count(),
 				Sum:    h.Sum(),
 				Bounds: append([]float64(nil), h.bounds...),
 				Counts: make([]int64, len(h.counts)),
 			}
+			// Count is the sum of the buckets read, not the separate total:
+			// an Observe racing the snapshot may have bumped one but not
+			// yet the other, and a snapshot must stay self-consistent.
 			for i := range h.counts {
 				hs.Counts[i] = h.counts[i].Load()
+				hs.Count += hs.Counts[i]
 			}
 			hs.Exemplars = h.Exemplars()
 			s.Histograms[name] = hs

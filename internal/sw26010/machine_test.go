@@ -204,6 +204,19 @@ func TestSPMCoalescedOffsets(t *testing.T) {
 	}
 }
 
+// TestSPMAllocIsAccountingOnly: Alloc reserves capacity and an offset but
+// no storage; the functional interpreter attaches Data itself.
+func TestSPMAllocIsAccountingOnly(t *testing.T) {
+	a := NewSPMAllocator()
+	b, err := a.Alloc("x", 6400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Data != nil || b.Elems != 6400 || a.UsedPerCPE() != b.BytesPerCPE() {
+		t.Fatalf("alloc = %+v (used %d B/CPE), want 6400 accounted elements and nil Data", *b, a.UsedPerCPE())
+	}
+}
+
 func TestSPMDuplicateAndUnknown(t *testing.T) {
 	a := NewSPMAllocator()
 	if _, err := a.Alloc("x", 64); err != nil {

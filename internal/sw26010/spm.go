@@ -26,7 +26,10 @@ type SPMBuffer struct {
 	// OffsetPerCPE is the buffer's byte offset within each CPE's SPM in
 	// the coalesced layout.
 	OffsetPerCPE int
-	// Data is the functional storage (core-group level).
+	// Data is the functional storage (core-group level). Alloc leaves it
+	// nil: the allocator only accounts capacity and offsets, and a
+	// functional interpreter attaches Elems values of storage itself, so
+	// timed-only runs never zero scratch pad they do not read.
 	Data []float32
 }
 
@@ -44,8 +47,9 @@ func NewSPMAllocator() *SPMAllocator {
 	return &SPMAllocator{allocs: make(map[string]*SPMBuffer)}
 }
 
-// Alloc reserves a logical buffer of elems float32 values. It fails when the
-// per-CPE footprint would exceed the 64 KB SPM.
+// Alloc reserves a logical buffer of elems float32 values (capacity and
+// offset accounting only; see SPMBuffer.Data). It fails when the per-CPE
+// footprint would exceed the 64 KB SPM.
 func (a *SPMAllocator) Alloc(name string, elems int) (*SPMBuffer, error) {
 	if elems <= 0 {
 		return nil, fmt.Errorf("spm: non-positive allocation %d for %q", elems, name)
@@ -53,7 +57,7 @@ func (a *SPMAllocator) Alloc(name string, elems int) (*SPMBuffer, error) {
 	if _, dup := a.allocs[name]; dup {
 		return nil, fmt.Errorf("spm: buffer %q already allocated", name)
 	}
-	b := &SPMBuffer{Name: name, Elems: elems, Data: make([]float32, elems)}
+	b := &SPMBuffer{Name: name, Elems: elems}
 	b.OffsetPerCPE = a.UsedPerCPE()
 	if b.OffsetPerCPE+b.BytesPerCPE() > SPMBytes {
 		return nil, fmt.Errorf("spm: allocating %q (%d B/CPE) exceeds %d B SPM (used %d B)",

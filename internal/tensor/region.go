@@ -71,8 +71,50 @@ func (r Region) Flatten(t *Tensor) (Blocks, error) {
 // descriptors (one per outer index combination is avoided by emitting a
 // descriptor per distinct outer "slab").
 func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
+	first, outer, err := r.flattenHead(t)
+	if err != nil {
+		return nil, err
+	}
+	// Any remaining dimensions with extent > 1 produce separate descriptors.
+	out := []Blocks{first}
+	for _, d := range outer {
+		if r.Extent[d] == 1 {
+			continue
+		}
+		next := make([]Blocks, 0, len(out)*r.Extent[d])
+		for _, b := range out {
+			for i := 0; i < r.Extent[d]; i++ {
+				nb := b
+				nb.Offset += i * t.Strides[d]
+				next = append(next, nb)
+			}
+		}
+		out = next
+	}
+	return out, nil
+}
+
+// FlattenSummary returns FlattenMulti's first descriptor and the total block
+// count over all its descriptors (they share one geometry, so this is all a
+// DMA request's timing needs) without materializing one descriptor per
+// outer index.
+func (r Region) FlattenSummary(t *Tensor) (first Blocks, count int, err error) {
+	first, outer, err := r.flattenHead(t)
+	if err != nil {
+		return Blocks{}, 0, err
+	}
+	count = first.Count
+	for _, d := range outer {
+		count *= r.Extent[d]
+	}
+	return first, count, nil
+}
+
+// flattenHead computes FlattenMulti's first descriptor and the outer
+// dimensions, slowest last, that replicate it.
+func (r Region) flattenHead(t *Tensor) (Blocks, []int, error) {
 	if len(r.Start) != t.Rank() {
-		return nil, fmt.Errorf("region rank %d vs tensor rank %d", len(r.Start), t.Rank())
+		return Blocks{}, nil, fmt.Errorf("region rank %d vs tensor rank %d", len(r.Start), t.Rank())
 	}
 	// Order dimensions by increasing stride (fastest first).
 	order := make([]int, t.Rank())
@@ -110,30 +152,10 @@ func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
 
 	// The next dimension (if any) is the strided loop.
 	if k >= len(order) {
-		return []Blocks{{Offset: base, Block: block, Stride: block, Count: 1}}, nil
+		return Blocks{Offset: base, Block: block, Stride: block, Count: 1}, nil, nil
 	}
 	sd := order[k]
-	blocks := Blocks{Offset: base, Block: block, Stride: t.Strides[sd], Count: r.Extent[sd]}
-	k++
-
-	// Any remaining dimensions with extent > 1 produce separate descriptors.
-	out := []Blocks{blocks}
-	for ; k < len(order); k++ {
-		d := order[k]
-		if r.Extent[d] == 1 {
-			continue
-		}
-		next := make([]Blocks, 0, len(out)*r.Extent[d])
-		for _, b := range out {
-			for i := 0; i < r.Extent[d]; i++ {
-				nb := b
-				nb.Offset += i * t.Strides[d]
-				next = append(next, nb)
-			}
-		}
-		out = next
-	}
-	return out, nil
+	return Blocks{Offset: base, Block: block, Stride: t.Strides[sd], Count: r.Extent[sd]}, order[k+1:], nil
 }
 
 // CopyRegionOut gathers a region of src into dst (a flat buffer) in the

@@ -154,6 +154,50 @@ func TestRegionFlattenMultiOuterDims(t *testing.T) {
 	}
 }
 
+// Property: FlattenSummary reports FlattenMulti's first descriptor and the
+// total block count of all its descriptors, which share one geometry, for
+// arbitrary rank-3 regions under every storage layout.
+func TestFlattenSummaryMatchesMultiQuick(t *testing.T) {
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	f := func(p uint8, d, s, e [3]uint8) bool {
+		dims := make([]int, 3)
+		start := make([]int, 3)
+		ext := make([]int, 3)
+		for i := range dims {
+			dims[i] = int(d[i]%5) + 1
+			start[i] = int(s[i]) % dims[i]
+			ext[i] = int(e[i])%(dims[i]-start[i]) + 1
+		}
+		x, err := NewVirtual("x", dims, perms[int(p)%len(perms)])
+		if err != nil {
+			return false
+		}
+		r, err := NewRegion(x, start, ext)
+		if err != nil {
+			return false
+		}
+		multi, err := r.FlattenMulti(x)
+		if err != nil {
+			return false
+		}
+		first, count, err := r.FlattenSummary(x)
+		if err != nil || first != multi[0] {
+			return false
+		}
+		total := 0
+		for _, b := range multi {
+			if b.Block != first.Block || b.Stride != first.Stride || b.Count != first.Count {
+				return false
+			}
+			total += b.Count
+		}
+		return count == total
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegionBounds(t *testing.T) {
 	x := New("x", 4, 4)
 	if _, err := NewRegion(x, []int{0, 2}, []int{4, 3}); err == nil {

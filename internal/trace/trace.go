@@ -71,17 +71,21 @@ func (l *Log) Len() int { return len(l.Events) }
 // carry that key. The inference runtime uses it to stamp a per-layer log
 // with the operator name, layer index and selected strategy before merging
 // it onto the network timeline; existing keys win so inner annotations
-// survive outer ones.
+// survive outer ones. Events without Args share one new map, so annotating
+// a log costs one allocation, not one per event.
 func (l *Log) Annotate(key, value string) {
+	var shared map[string]string
 	for i := range l.Events {
 		ev := &l.Events[i]
-		if _, ok := ev.Args[key]; ok {
-			continue
-		}
 		if ev.Args == nil {
-			ev.Args = map[string]string{}
+			if shared == nil {
+				shared = map[string]string{}
+			}
+			ev.Args = shared
 		}
-		ev.Args[key] = value
+		if _, ok := ev.Args[key]; !ok {
+			ev.Args[key] = value
+		}
 	}
 }
 
