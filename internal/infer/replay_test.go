@@ -286,3 +286,62 @@ func BenchmarkWarmReplay(b *testing.B) {
 		}
 	}
 }
+
+// warmFleetVGG16 returns an engine whose library and compiled-schedule table
+// hold every schedule of a VGG16 batch-8 run on four core groups.
+func warmFleetVGG16(tb testing.TB) (*Engine, *graph.Graph, Options) {
+	tb.Helper()
+	e, err := NewEngine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := graph.VGG16(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts := Options{Workers: 2, Library: cache.NewLibrary(), Groups: 4, Builder: graph.VGG16}
+	for i := 0; i < 2; i++ { // cold tune, then fill the table
+		if _, err := e.Run(context.Background(), g, opts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e, g, opts
+}
+
+// TestWarmFleetAllocBudget guards the serving fleet's hot path: a warm
+// VGG16 batch-8 run on four core groups allocates at most 15 MB.
+func TestWarmFleetAllocBudget(t *testing.T) {
+	const runs = 5
+	const budgetMB = 15
+	e, g, opts := warmFleetVGG16(t)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		res, err := e.Run(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TunedOps != 0 || res.DegradedOps != 0 {
+			t.Fatalf("warm fleet run tuned %d / degraded %d ops", res.TunedOps, res.DegradedOps)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / (1 << 20)
+	t.Logf("warm VGG16 b8 4-group run: %.1f MB allocated per run", perRun)
+	if perRun > budgetMB {
+		t.Fatalf("warm fleet run allocates %.1f MB per run, budget %d MB", perRun, budgetMB)
+	}
+}
+
+// BenchmarkWarmFleet times one warm VGG16 batch-8 run on four core groups.
+func BenchmarkWarmFleet(b *testing.B) {
+	e, g, opts := warmFleetVGG16(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(context.Background(), g, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
