@@ -94,9 +94,11 @@ obs-check:
 # Host-clock benchmark gate tests: metric names against BENCHMARK.json and
 # the correctness gate firing on tampered references, one-ulp-off machine
 # seconds and bad serving responses. hostbench is its own module, so
-# `go test ./...` at the root does not reach it.
+# `go test ./...` and `go vet ./...` at the root do not reach it; vetting
+# it here catches root API changes the benchmark still compiles against.
 hostbench-test:
 	cd hostbench && $(GO) test ./...
+	cd hostbench && $(GO) vet ./... && $(GO) vet -unreachable ./...
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check hostbench-test

@@ -8,16 +8,14 @@
 // Usage:
 //
 //	swinfer [-net vgg16] [-batch 1,32,128] [-workers N] [-json]
-//	        [-groups N] [-pipeline]
+//	        [-groups N]
 //	        [-lib schedules.json] [-fallback] [-verify] [-timeline]
 //	        [-metrics -|file] [-trace-out trace.json] [-listen addr]
 //
 // -groups N scales the run out across a fleet of N simulated core groups
-// (the SW26010 ships 4 per node): by default the batch is sharded across
-// the groups and weight-bound fully-connected tails are column-sharded;
-// with -pipeline the layers are partitioned into N balanced stages and the
-// batch streams through as micro-batches. The report then carries the
-// per-group breakdown (and the stage partition with its bubble fraction).
+// (the SW26010 ships 4 per node): the batch is sharded across the groups
+// and weight-bound fully-connected tails are column-sharded. The report
+// then carries the per-group breakdown.
 //
 // The reported machine seconds are deterministic: identical for every
 // -workers value, every -groups goroutine interleaving, and identical
@@ -50,7 +48,6 @@ func main() {
 	verify := flag.Bool("verify", false, "functional execution: check every tuned layer against the reference oracle (slow)")
 	timeline := flag.Bool("timeline", false, "print the merged network timeline per batch size")
 	groups := flag.Int("groups", 1, "simulated core groups: >1 scales inference out across a fleet")
-	pipeline := flag.Bool("pipeline", false, "with -groups N: pipeline the layers across N stages instead of sharding the batch")
 	retries := flag.Int("retries", 1, "total attempts per candidate measurement for transient errors")
 	obsFlags := cliobs.Register(flag.CommandLine,
 		"write the network timeline as Chrome trace-event JSON (opens in ui.perfetto.dev); with several batch sizes each gets a -b<N> suffix")
@@ -68,9 +65,6 @@ func main() {
 	eng.SetWorkers(*workers)
 	if *groups > 1 {
 		eng.SetGroups(*groups)
-		eng.SetPipeline(*pipeline)
-	} else if *pipeline {
-		fail(fmt.Errorf("-pipeline needs -groups N with N >= 2"))
 	}
 	if *fallback {
 		eng.SetFallback(swatop.FallbackBaseline)
@@ -204,28 +198,13 @@ func summaryLine(rep *swatop.NetReport) string {
 	return s
 }
 
-// fleetSummary renders the per-group breakdown of a fleet run and, for a
-// pipelined one, the stage partition with its bubble fraction.
+// fleetSummary renders the per-group breakdown of a fleet run.
 func fleetSummary(rep *swatop.NetReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: mode %s, %d groups, comm %.4f ms\n",
 		rep.Mode, len(rep.Groups), rep.CommSeconds*1e3)
 	for _, g := range rep.Groups {
 		fmt.Fprintf(&b, "  group%d: batch %d, %.3f ms\n", g.Group, g.Batch, g.Seconds*1e3)
-	}
-	if p := rep.Pipeline; p != nil {
-		fmt.Fprintf(&b, "  pipeline: %d micro-batches, bubble fraction %.3f\n",
-			p.MicroBatches, p.BubbleFraction)
-		for _, st := range p.Stages {
-			span := ""
-			if n := len(st.Layers); n == 1 {
-				span = st.Layers[0]
-			} else if n > 1 {
-				span = st.Layers[0] + ".." + st.Layers[n-1]
-			}
-			fmt.Fprintf(&b, "  stage %d (group%d): %d layers [%s], %.3f ms/micro-batch\n",
-				st.Group, st.Group, len(st.Layers), span, st.Seconds*1e3)
-		}
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -10,7 +10,7 @@
 //
 //	swserve [-net vgg16] [-addr 127.0.0.1:8100]
 //	        [-max-batch 8] [-batch-window 2ms] [-queue N] [-buckets 1,2,4,8]
-//	        [-deadline D] [-groups N] [-pipeline] [-workers N]
+//	        [-deadline D] [-groups N] [-workers N]
 //	        [-lib schedules.json] [-warm] [-breaker-threshold 3] [-breaker-cooldown 8]
 //	        [-trace] [-trace-sample 0.1] [-trace-slow 100]
 //	        [-slo-p99 MS] [-slo-availability 0.999] [-slo-profile-dir DIR]
@@ -68,7 +68,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0,
 		"default per-request deadline when the request carries none (0 = none)")
 	groups := flag.Int("groups", 1, "simulated core groups: >1 scales batch execution across a fleet")
-	pipeline := flag.Bool("pipeline", false, "with -groups N: pipeline layers across N stages instead of sharding the batch")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent tuning workers for cache misses")
 	libPath := flag.String("lib", "", "schedule library file: loaded if present, saved on drain")
 	warm := flag.Bool("warm", true, "tune every bucket size before accepting traffic")
@@ -94,9 +93,6 @@ func main() {
 		"(swserve exports no trace timeline; use /events and /flightz instead)")
 	flag.Parse()
 
-	if *groups < 2 && *pipeline {
-		fail(fmt.Errorf("-pipeline needs -groups N with N >= 2"))
-	}
 	buckets, err := parseBuckets(*bucketsFlag)
 	if err != nil {
 		fail(err)
@@ -147,7 +143,6 @@ func main() {
 		DefaultDeadline:  *deadline,
 		Workers:          *workers,
 		Groups:           *groups,
-		Pipeline:         *pipeline,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		Library:          lib,

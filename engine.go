@@ -32,7 +32,6 @@ type Engine struct {
 	metrics     *MetricsRegistry
 	observer    *Observer
 	groups      int
-	pipeline    bool
 	searcher    Searcher
 	budget      float64
 	searchSeed  uint64
@@ -103,23 +102,17 @@ func (e *Engine) SetProgress(fn func(node string, done, total int)) { e.progress
 
 // SetGroups scales inference out across a fleet of n simulated core groups
 // (1..4 — one SW26010 node, the swCaffe scale-out unit). 0 or 1 keeps the
-// single-machine path. The default fleet mode is data parallelism: the
-// batch shards across the groups and the fleet time is the slowest group
-// plus the modeled collectives. Nets ending in a fully-connected tail take
-// the hybrid split (batch-sharded convolutions, column-sharded fc layers
-// so each group loads only 1/n of the weight-DMA-bound fc weights);
-// everything else runs the whole net on every group's shard.
+// single-machine path. A fleet run is data parallel: the batch shards
+// across the groups and the fleet time is the slowest group of each phase
+// plus the modeled collectives between phases. Nets ending in a
+// fully-connected tail take the hybrid split (batch-sharded convolutions,
+// column-sharded fc layers so each group loads only 1/n of the
+// weight-DMA-bound fc weights); everything else runs the whole net on every
+// group's shard.
 // Schedules still resolve sequentially up front; per-group and aggregate
 // machine seconds stay bit-identical across worker counts and goroutine
 // interleavings. Fleet runs skip the per-layer baseline comparison.
 func (e *Engine) SetGroups(n int) { e.groups = n }
-
-// SetPipeline switches a fleet run (SetGroups >= 2) to layer pipelining:
-// the net is partitioned into balanced stages by per-layer tuned cost and
-// micro-batches of size 1 stream through them. The report carries the
-// stage partition and the pipeline's bubble fraction. Timed-only —
-// incompatible with SetVerify.
-func (e *Engine) SetPipeline(on bool) { e.pipeline = on }
 
 // SetMetrics attaches a metrics registry: every run records machine
 // counters (DMA traffic, transactions, alignment waste, SPM peak, the
@@ -162,21 +155,6 @@ type GroupReport struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// StageReport is one pipeline stage of a pipelined fleet run.
-type StageReport struct {
-	Group           int      `json:"group"`
-	Layers          []string `json:"layers"`
-	Seconds         float64  `json:"seconds"`
-	TransferSeconds float64  `json:"transfer_seconds,omitempty"`
-}
-
-// PipelineReport is the stage partition and schedule of a pipelined run.
-type PipelineReport struct {
-	MicroBatches   int           `json:"micro_batches"`
-	Stages         []StageReport `json:"stages"`
-	BubbleFraction float64       `json:"bubble_fraction"`
-}
-
 // NetReport is a completed network inference run.
 type NetReport struct {
 	Net             string        `json:"net"`
@@ -190,17 +168,15 @@ type NetReport struct {
 	TunedLayers     int           `json:"tuned_layers"`
 	CachedLayers    int           `json:"cached_layers"`
 	DegradedLayers  int           `json:"degraded_layers"`
-	// Mode reports the execution path: "single", "data-parallel" or
-	// "pipeline". InferencesPerSec is the batch over the aggregate machine
-	// seconds — the throughput the scale-out modes exist to raise.
+	// Mode reports the execution path: "single" or "data-parallel".
+	// InferencesPerSec is the batch over the aggregate machine seconds — the
+	// throughput the fleet exists to raise.
 	Mode             string  `json:"mode"`
 	InferencesPerSec float64 `json:"inferences_per_sec,omitempty"`
 	// CommSeconds and Groups describe a fleet run: the modeled cross-group
-	// communication time and the per-group breakdown. Pipeline carries the
-	// stage partition and bubble fraction of a pipelined run.
-	CommSeconds float64         `json:"comm_seconds,omitempty"`
-	Groups      []GroupReport   `json:"groups,omitempty"`
-	Pipeline    *PipelineReport `json:"pipeline,omitempty"`
+	// communication time and the per-group breakdown.
+	CommSeconds float64       `json:"comm_seconds,omitempty"`
+	Groups      []GroupReport `json:"groups,omitempty"`
 	// Activation memory: the engine's ping-pong buffer-reuse plan vs
 	// dedicating every feature map.
 	PeakActivationBytes  int64 `json:"peak_activation_bytes"`
@@ -275,7 +251,6 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 		SearchBudget:         e.budget,
 		SearchSeed:           e.searchSeed,
 		Groups:               e.groups,
-		Pipeline:             e.pipeline,
 		Builder:              func(b int) (*graph.Graph, error) { return graph.ByName(net, b) },
 	})
 	if err != nil {
@@ -312,21 +287,6 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 		rep.Groups = append(rep.Groups, GroupReport{
 			Group: gr.Group, Batch: gr.Batch, Seconds: gr.Seconds,
 		})
-	}
-	if res.Pipeline != nil {
-		p := &PipelineReport{
-			MicroBatches:   res.Pipeline.MicroBatches,
-			BubbleFraction: res.Pipeline.BubbleFraction,
-		}
-		for _, st := range res.Pipeline.Stages {
-			p.Stages = append(p.Stages, StageReport{
-				Group:           st.Group,
-				Layers:          st.Nodes,
-				Seconds:         st.Seconds,
-				TransferSeconds: st.TransferSeconds,
-			})
-		}
-		rep.Pipeline = p
 	}
 	rep.Metrics = e.metrics.Snapshot()
 	for _, l := range res.Layers {

@@ -185,8 +185,7 @@ func snapshotJSON(t *testing.T, s MetricsSnapshot) string {
 // a core-group fleet. groups=1 reproduces the single-machine seconds
 // exactly; data parallelism on 4 groups delivers at least 3x the
 // throughput; per-group and aggregate seconds are bit-identical across
-// worker counts; pipeline mode reports its stage partition and bubble
-// fraction.
+// worker counts.
 func TestEngineFleetVGG16(t *testing.T) {
 	e, err := NewEngine()
 	if err != nil {
@@ -250,38 +249,6 @@ func TestEngineFleetVGG16(t *testing.T) {
 		if g4b.Groups[i] != g4.Groups[i] {
 			t.Fatalf("group %d drifted: %+v vs %+v", i, g4b.Groups[i], g4.Groups[i])
 		}
-	}
-
-	// Layer pipelining: balanced stages, every layer covered, a reported
-	// bubble fraction, and the same determinism.
-	e.SetPipeline(true)
-	p, err := e.Infer("vgg16", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Mode != "pipeline" || p.Pipeline == nil {
-		t.Fatalf("pipeline run: mode %q, report %v", p.Mode, p.Pipeline)
-	}
-	if p.Pipeline.MicroBatches != 8 || len(p.Pipeline.Stages) != 4 {
-		t.Fatalf("pipeline: %d micro-batches, %d stages", p.Pipeline.MicroBatches, len(p.Pipeline.Stages))
-	}
-	covered := 0
-	for _, st := range p.Pipeline.Stages {
-		covered += len(st.Layers)
-	}
-	if covered != len(base.Layers) {
-		t.Fatalf("stages cover %d layers, net has %d", covered, len(base.Layers))
-	}
-	if bf := p.Pipeline.BubbleFraction; bf <= 0 || bf >= 1 {
-		t.Fatalf("bubble fraction = %g", bf)
-	}
-	p2, err := e.Infer("vgg16", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Seconds != p.Seconds || p2.Pipeline.BubbleFraction != p.Pipeline.BubbleFraction {
-		t.Fatalf("pipeline drifted across runs: %g/%g vs %g/%g",
-			p2.Seconds, p2.Pipeline.BubbleFraction, p.Seconds, p.Pipeline.BubbleFraction)
 	}
 }
 

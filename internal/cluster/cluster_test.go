@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"swatop/internal/metrics"
@@ -103,18 +102,6 @@ func TestCommCostModels(t *testing.T) {
 	if AllGatherSeconds(0, 4) != 3*GroupSyncSeconds {
 		t.Fatal("empty all-gather must still synchronize")
 	}
-	if AllReduceSeconds(1<<20, 1) != 0 {
-		t.Fatal("single group all-reduce must be free")
-	}
-	if AllReduceSeconds(1<<20, 4) <= GatherSeconds(1<<20, 4) {
-		t.Fatal("all-reduce must cost more than a gather of the same bytes")
-	}
-	if StageTransferSeconds(0) != 0 {
-		t.Fatal("empty stage transfer must be free")
-	}
-	if x := StageTransferSeconds(1 << 20); x <= GroupSyncSeconds {
-		t.Fatalf("stage transfer %g does not include the byte cost", x)
-	}
 }
 
 func TestFleetPublish(t *testing.T) {
@@ -147,110 +134,4 @@ func TestFleetPublish(t *testing.T) {
 		t.Fatalf("fleet_groups = %g", got)
 	}
 	f.Publish(nil) // no-op
-}
-
-func TestPartitionBalanced(t *testing.T) {
-	costs := []float64{5, 1, 1, 1, 5, 1, 1, 1}
-	stages, err := PartitionBalanced(costs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Optimal split is down the middle: max stage cost 8.
-	if stages[0] != [2]int{0, 4} || stages[1] != [2]int{4, 8} {
-		t.Fatalf("stages = %v", stages)
-	}
-
-	// Extents must tile the index range for any shape.
-	costs = []float64{3, 9, 2, 2, 7, 1, 4}
-	for n := 1; n <= len(costs); n++ {
-		stages, err := PartitionBalanced(costs, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(stages) != n || stages[0][0] != 0 || stages[n-1][1] != len(costs) {
-			t.Fatalf("n=%d: stages %v do not cover", n, stages)
-		}
-		for s := 1; s < n; s++ {
-			if stages[s][0] != stages[s-1][1] || stages[s][0] >= stages[s][1] {
-				t.Fatalf("n=%d: stages %v not contiguous/nonempty", n, stages)
-			}
-		}
-	}
-
-	// DP optimum: 4 stages over the shape above has max-stage 11
-	// ([3][9][2 2 7][1 4]); every other 4-way split is >= 12.
-	stages, err = PartitionBalanced(costs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxStage := 0.0
-	for _, st := range stages {
-		sum := 0.0
-		for i := st[0]; i < st[1]; i++ {
-			sum += costs[i]
-		}
-		if sum > maxStage {
-			maxStage = sum
-		}
-	}
-	if maxStage != 11 {
-		t.Fatalf("max stage cost %g, want 11 (stages %v)", maxStage, stages)
-	}
-
-	if _, err := PartitionBalanced([]float64{1}, 2); err == nil {
-		t.Fatal("more stages than items must error")
-	}
-}
-
-func TestSchedulePipeline(t *testing.T) {
-	// Two perfectly balanced stages, no transfer cost: the classic
-	// pipeline diagram. d = 1s each, M = 3.
-	d := [][]float64{{1, 1, 1}, {1, 1, 1}}
-	sched, err := SchedulePipeline(d, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.TotalSeconds != 4 { // fill 1 + 3 on stage 1
-		t.Fatalf("total = %g, want 4", sched.TotalSeconds)
-	}
-	// Bubble: 8s capacity (2 stages x 4s), 6s busy -> 1/4.
-	if math.Abs(sched.BubbleFraction-0.25) > 1e-12 {
-		t.Fatalf("bubble = %g, want 0.25", sched.BubbleFraction)
-	}
-	if sched.Start[1][0] != 1 || sched.Start[0][2] != 2 {
-		t.Fatalf("schedule wrong: %+v", sched.Start)
-	}
-
-	// Transfer cost delays the downstream stage.
-	sched, err = SchedulePipeline(d, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Start[1][0] != 1.5 {
-		t.Fatalf("transfer not applied: start = %g", sched.Start[1][0])
-	}
-	if sched.CommSeconds != 1.5 { // 3 micro-batches x 0.5
-		t.Fatalf("comm = %g", sched.CommSeconds)
-	}
-
-	// An unbalanced slow stage dominates: total = fill + M * slow.
-	d = [][]float64{{1, 1, 1, 1}, {2, 2, 2, 2}}
-	sched, err = SchedulePipeline(d, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.TotalSeconds != 1+4*2 {
-		t.Fatalf("total = %g, want 9", sched.TotalSeconds)
-	}
-
-	// Malformed inputs error.
-	if _, err := SchedulePipeline(nil, nil); err == nil {
-		t.Fatal("no stages must error")
-	}
-	if _, err := SchedulePipeline([][]float64{{1}, {1, 2}}, []float64{0}); err == nil {
-		t.Fatal("ragged micro-batches must error")
-	}
-	if _, err := SchedulePipeline([][]float64{{1}, {1}}, nil); err == nil {
-		t.Fatal("missing transfer costs must error")
-	}
 }

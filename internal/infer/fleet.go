@@ -3,7 +3,6 @@ package infer
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,14 +16,86 @@ import (
 )
 
 // This file is the core-group fleet runtime: the scale-out path of Run when
-// Options.Groups > 1. Both modes keep the repo's determinism invariant by
-// construction — schedules resolve sequentially up front, every group
-// executes on its own machine with its own tensor table, concurrent groups
-// write metrics only under disjoint cluster.GroupPrefix names, and all
-// aggregation (counters, timelines, the fleet clock) happens after the
-// groups join, in fixed group order.
+// Options.Groups > 1. A fleet run is a plan of lockstep phases executed by
+// one loop (runPhase). In each phase every group runs its part — a slice of
+// the batch, or a column shard of a fully-connected layer — on its own
+// machine with its own tensor table; the fleet joins, advances its clock by
+// the slowest part and ends the phase in one modeled collective. The
+// determinism invariant holds by construction: schedules resolve
+// sequentially while the plan is built, concurrent groups write metrics
+// only under disjoint cluster.GroupPrefix names, and all aggregation
+// (counters, timelines, the fleet clock) happens after each join, in fixed
+// group order.
 
-// runFleet validates the fleet configuration and dispatches to the mode.
+// shard is one resolved graph a fleet group executes: the net rebuilt at a
+// shard batch size, or a single-node shard of its fully-connected tail.
+// nodes is the topo-order slice it runs (the hybrid split stops a batch
+// shard before its fc tail).
+type shard struct {
+	g        *graph.Graph
+	nodes    []*graph.Node
+	resolved map[string]*resolvedOp
+	plan     Plan
+}
+
+// newShard resolves a shard's schedules and plans its buffers.
+func (e *Engine) newShard(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (*shard, error) {
+	resolved, err := e.resolveNodes(ctx, g, nodes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &shard{g: g, nodes: nodes, resolved: resolved, plan: planBuffers(g)}, nil
+}
+
+// cols is a slice of a full fleet tensor viewed as rows of width elements:
+// columns [off, off+n) of every row. A part's own tensor holds exactly
+// those n columns per row.
+type cols struct{ width, off, n int }
+
+// part is one group's work in a phase: which slices of the fleet's full
+// tensors it reads (activation in, fc weight rows) and produces in
+// functional mode. A zero out slice contributes nothing to the gather.
+type part struct {
+	*shard
+	in, w, out cols
+}
+
+// collective is the modeled communication that ends a phase. Groups
+// 0..groups-1 take part; each gets one comm event on its timeline row.
+type collective struct {
+	name, dst string
+	secs      float64
+	groups    int
+}
+
+// phase is one lockstep step of a fleet plan.
+type phase struct {
+	// name labels every group's exec span, so per-phase skew stays
+	// comparable across groups.
+	name  string
+	parts []*part // one per group; nil idles the group for this phase
+	// node is the fc-tail node a column-sharded phase computes; its layer
+	// report carries the whole layer's FLOPs.
+	node *graph.Node
+	// in and out name the full tensors the parts slice their input from and
+	// gather their output into; weight is the full fc weight the parts slice
+	// rows from (functional mode only).
+	in, out string
+	weight  *tensor.Tensor
+	comm    collective
+}
+
+// partRun is what one group's part produced.
+type partRun struct {
+	res     Result
+	log     *trace.Log
+	t0, dur float64
+	out     *tensor.Tensor // functional: the part's output tensor
+	err     error
+}
+
+// runFleet plans the fleet run, executes its phases in order and
+// aggregates the per-group machines.
 func (e *Engine) runFleet(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Groups > sw26010.NumCG {
 		return nil, fmt.Errorf("infer %s: %d groups, but one SW26010 node has %d core groups",
@@ -33,10 +104,285 @@ func (e *Engine) runFleet(ctx context.Context, g *graph.Graph, opts Options) (*R
 	if opts.Builder == nil {
 		return nil, fmt.Errorf("infer %s: fleet mode needs Options.Builder to rebuild the net at shard batch sizes", g.Name)
 	}
-	if opts.Pipeline {
-		return e.runPipeline(ctx, g, opts)
+	G := opts.Groups
+	shards, err := cluster.ShardBatch(g.Batch, G)
+	if err != nil {
+		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
-	return e.runDataParallel(ctx, g, opts)
+	fleet, err := cluster.New(G)
+	if err != nil {
+		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
+	}
+	phases, err := e.planFleet(ctx, g, opts, shards)
+	if err != nil {
+		return nil, err
+	}
+	opts.job.SetDetail(fmt.Sprintf("executing on %d groups", G))
+
+	envs := make([]execEnv, G)
+	for i := range envs {
+		envs[i] = execEnv{
+			m:            fleet.Machine(i),
+			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
+			obs:          opts.Observer,
+			group:        i,
+			functional:   opts.Functional,
+			tolerance:    opts.Tolerance,
+			skipBaseline: true,
+		}
+	}
+	res := &Result{
+		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(),
+		Plan: phases[0].parts[0].plan, Mode: ModeDataParallel, Timeline: &trace.Log{},
+	}
+	var act *tensor.Tensor
+	if opts.Functional {
+		act = fullTensor(g, g.Input, 0)
+	}
+	for _, p := range phases {
+		if act, err = e.runPhase(ctx, g, p, envs, opts, res, act); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < G; i++ {
+		m := fleet.Machine(i)
+		res.Counters.Accumulate(m.Counters)
+		res.Groups = append(res.Groups, GroupResult{
+			Group: i, Batch: shards[i], Seconds: m.Elapsed(), Counters: m.Counters,
+		})
+	}
+	res.Output = act
+	publishFleet(opts, fleet, res)
+	return res, nil
+}
+
+// runPhase runs every group's part of one phase, joins them in fixed group
+// order, advances the fleet clock (res.Seconds) by the slowest part, merges
+// timelines, layers and resolution counts into res, and ends in the phase's
+// collective. In functional mode it returns the gathered full output; act
+// is the full input the parts slice from.
+func (e *Engine) runPhase(ctx context.Context, g *graph.Graph, p *phase, envs []execEnv,
+	opts Options, res *Result, act *tensor.Tensor) (*tensor.Tensor, error) {
+	runs := make([]partRun, len(p.parts))
+	runGroups(len(p.parts), opts.serialFleet, func(i int) {
+		if p.parts[i] != nil {
+			runs[i] = e.runPart(ctx, p, p.parts[i], envs[i], opts.Spans, act)
+		}
+	})
+	start := res.Seconds
+	longest := 0.0
+	for i, r := range runs {
+		if p.parts[i] == nil {
+			continue
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		if r.dur > longest {
+			longest = r.dur
+		}
+		res.Timeline.MergeGroup(i, start-r.t0, r.log)
+		res.TunedOps += r.res.TunedOps
+		res.CachedOps += r.res.CachedOps
+		res.DegradedOps += r.res.DegradedOps
+	}
+	// The report's layers are the lead group's, restamped onto the fleet
+	// clock.
+	for _, l := range runs[0].res.Layers {
+		l.Start = start + (l.Start - runs[0].t0)
+		if p.node != nil && p.node.Kind == graph.Gemm {
+			l.FLOPs = p.node.Gemm.FLOPs()
+		}
+		res.Layers = append(res.Layers, l)
+	}
+	res.Seconds = start + longest
+	if c := p.comm; c.secs > 0 {
+		for i := 0; i < c.groups; i++ {
+			res.Timeline.AddGroupArgs(i, trace.KindComm, c.name, res.Seconds, c.secs,
+				map[string]string{"src": fmt.Sprintf("group%d", i), "dst": c.dst})
+		}
+		res.Seconds += c.secs
+		res.CommSeconds += c.secs
+	}
+	if act == nil {
+		return nil, nil
+	}
+	out := tensor.New(p.out, graphDims(g, p.out)...)
+	for i, r := range runs {
+		if pt := p.parts[i]; pt != nil && pt.out.n > 0 {
+			copySpan(out, pt.out.width, pt.out.off, r.out, pt.out.n, 0, pt.out.n)
+		}
+	}
+	return out, nil
+}
+
+// runPart executes one group's part on its machine. In functional mode it
+// first loads the part's slices of the full input (and fc weight).
+func (e *Engine) runPart(ctx context.Context, p *phase, pt *part, env execEnv,
+	spans *reqtrace.Spans, act *tensor.Tensor) partRun {
+	ts, err := allocTensors(pt.g, pt.resolved, pt.plan, env.functional)
+	if err != nil {
+		return partRun{err: err}
+	}
+	if env.functional {
+		copySpan(ts[p.in], pt.in.n, 0, act, pt.in.width, pt.in.off, pt.in.n)
+		if p.weight != nil {
+			copySpan(ts[p.node.In[1]], pt.w.n, 0, p.weight, pt.w.width, pt.w.off, pt.w.n)
+		}
+	}
+	r := partRun{log: &trace.Log{}, t0: env.m.Now()}
+	execT0 := time.Now()
+	if r.err = e.execNodes(ctx, pt.g, pt.nodes, pt.resolved, ts, &r.res, r.log, env); r.err != nil {
+		return r
+	}
+	// exec.Run fails on any DMA left outstanding, so the compute clock is
+	// where the part's last transfer landed.
+	r.dur = env.m.Now() - r.t0
+	if spans != nil {
+		spans.AddGroup(reqtrace.PhaseExec, p.name, env.group, execT0, time.Since(execT0),
+			map[string]string{"machine_ms": reqtrace.MsArg(r.dur * 1e3)})
+	}
+	if env.functional {
+		r.out = ts[p.out]
+	}
+	return r
+}
+
+// planFleet builds the phase list of a fleet run, resolving every schedule
+// it needs sequentially — the library and tuner are never touched while
+// groups execute. Plain data parallelism is one batch-sharded phase over
+// the whole net, ending in the gather of the shard outputs onto the lead
+// group. Nets ending in a fully-connected tail take swCaffe's hybrid split:
+// a batch-sharded head phase ending in an all-gather, then one
+// column-sharded phase per tail node (see hybridTail).
+func (e *Engine) planFleet(ctx context.Context, g *graph.Graph, opts Options, shards []int) ([]*phase, error) {
+	G, B := len(shards), g.Batch
+	topo := g.Topo()
+	tailStart, hybrid := hybridTail(g, topo)
+	end := len(topo)
+	if hybrid {
+		end = tailStart
+	}
+	var phases []*phase
+	if end > 0 {
+		head := &phase{name: "exec shard", parts: make([]*part, G), in: g.Input, out: topo[end-1].Out}
+		if opts.Functional {
+			for _, name := range []string{head.in, head.out} {
+				if dims := graphDims(g, name); dims[len(dims)-1] != B {
+					return nil, fmt.Errorf("infer %s: tensor %s dims %v do not end in the batch extent %d",
+						g.Name, name, dims, B)
+				}
+			}
+		}
+		// Resolve once per distinct shard size. A zero shard (batch <
+		// groups) has no graph to build: that group idles this phase.
+		built := map[int]*shard{}
+		active, off := 0, 0
+		for i, b := range shards {
+			if b == 0 {
+				continue
+			}
+			sh := built[b]
+			if sh == nil {
+				sg, err := buildShard(g, opts, b)
+				if err != nil {
+					return nil, err
+				}
+				if n := sg.NumNodes(); n != len(topo) {
+					return nil, fmt.Errorf("infer %s: batch-%d shard has %d nodes, the full graph %d",
+						g.Name, b, n, len(topo))
+				}
+				if sh, err = e.newShard(ctx, sg, sg.Topo()[:end], opts); err != nil {
+					return nil, err
+				}
+				built[b] = sh
+			}
+			slice := cols{B, off, b}
+			head.parts[i] = &part{shard: sh, in: slice, out: slice}
+			active++
+			off += b
+		}
+		bytes := int64(elemCount(graphDims(g, head.out))) * 4
+		if hybrid {
+			head.name = "exec conv head"
+			head.comm = collective{"allgather " + head.out, "all groups", cluster.AllGatherSeconds(bytes, G), G}
+		} else {
+			// Only groups that ran contribute shard outputs to the gather.
+			head.comm = collective{"gather outputs", "group0", cluster.GatherSeconds(bytes, active), active}
+		}
+		phases = append(phases, head)
+	}
+	if !hybrid {
+		return phases, nil
+	}
+	for ti, n := range topo[tailStart:] {
+		p, err := e.planTail(ctx, g, opts, n, G)
+		if err != nil {
+			return nil, err
+		}
+		if n.Kind == graph.Gemm {
+			bytes := int64(elemCount(graphDims(g, n.Out))) * 4
+			if ti == len(topo)-tailStart-1 {
+				p.comm = collective{"gather " + n.Name, "group0", cluster.GatherSeconds(bytes, G), G}
+			} else {
+				p.comm = collective{"allgather " + n.Name, "all groups", cluster.AllGatherSeconds(bytes, G), G}
+			}
+		}
+		phases = append(phases, p)
+	}
+	return phases, nil
+}
+
+// planTail builds the phase of one fc-tail node at the full batch. A gemm
+// shards its output columns across the groups, so each group loads only
+// 1/G of the weights; an elementwise op runs whole and redundantly on
+// every group after the all-gather, like the duplicated activations of
+// tensor parallelism, and the lead group's copy is the result.
+func (e *Engine) planTail(ctx context.Context, g *graph.Graph, opts Options, n *graph.Node, G int) (*phase, error) {
+	B := g.Batch
+	size := elemCount(graphDims(g, n.In[0]))
+	all := cols{size, 0, size}
+	p := &phase{name: "exec fc " + n.Name, parts: make([]*part, G), node: n, in: n.In[0], out: n.Out}
+	var widths []int
+	if n.Kind == graph.Gemm {
+		widths = shardCols(n.Gemm.M, G)
+		if opts.Functional {
+			p.weight = fullTensor(g, n.In[1], n.Gemm.K)
+		}
+	}
+	built := map[int]*shard{}
+	off := 0
+	for i := 0; i < G; i++ {
+		w := 0
+		if n.Kind == graph.Gemm {
+			if w = widths[i]; w == 0 {
+				continue // a tiny layer may leave trailing groups no columns
+			}
+		}
+		sh := built[w]
+		if sh == nil {
+			sg, err := buildTailShard(g, n, w)
+			if err != nil {
+				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
+			}
+			if sh, err = e.newShard(ctx, sg, sg.Topo(), opts); err != nil {
+				return nil, err
+			}
+			built[w] = sh
+		}
+		pt := &part{shard: sh, in: all}
+		switch {
+		case n.Kind == graph.Gemm:
+			M, K := n.Gemm.M, n.Gemm.K
+			pt.w = cols{M * K, off * K, w * K}
+			pt.out = cols{M * B, off * B, w * B}
+			off += w
+		case i == 0:
+			pt.out = all
+		}
+		p.parts[i] = pt
+	}
+	return p, nil
 }
 
 // buildShard rebuilds and validates the network at a shard batch size.
@@ -54,47 +400,62 @@ func buildShard(g *graph.Graph, opts Options, batch int) (*graph.Graph, error) {
 	return sg, nil
 }
 
-// batchDim returns the tensor's batch extent, checking the repo-wide
-// batch-last convention the fleet's shard/merge copies rely on.
-func batchDim(dims []int, batch int) (int, error) {
-	if len(dims) == 0 || dims[len(dims)-1] != batch {
-		return 0, fmt.Errorf("tensor dims %v do not end in the batch extent %d", dims, batch)
+// buildTailShard builds the single-node graph one group runs for an
+// fc-tail node at the full batch, naming its tensors after the full
+// graph's: a gemm's column shard, out[width×B] = weight[width×K] ×
+// in[K×B], or an elementwise op over the whole activation.
+func buildTailShard(g *graph.Graph, n *graph.Node, width int) (*graph.Graph, error) {
+	B := g.Batch
+	name := fmt.Sprintf("%s_%s_full", g.Name, n.Name)
+	inFeats := elemCount(graphDims(g, n.In[0])) / B
+	outFeats := inFeats
+	node := &graph.Node{Name: n.Name, Kind: n.Kind, In: n.In, Out: n.Out}
+	if n.Kind == graph.Gemm {
+		name = fmt.Sprintf("%s_%s_w%d", g.Name, n.Name, width)
+		outFeats = width
+		node.Gemm = gemm.Params{M: width, N: B, K: n.Gemm.K}
 	}
-	return dims[len(dims)-1], nil
-}
-
-// copyBatchSlice copies src's batch columns [off, off+n) into dst's batch
-// columns [0, n) — or the reverse offsets when gathering (dstOff). Both
-// tensors share the same logical flat order with batch as the fastest
-// dimension, so the copy is layout- and reshape-agnostic.
-func copyBatchSlice(dst *tensor.Tensor, dstB, dstOff int, src *tensor.Tensor, srcB, srcOff, n int) {
-	outer := src.Len() / srcB
-	for o := 0; o < outer; o++ {
-		for b := 0; b < n; b++ {
-			setFlat(dst, atFlat(src, o*srcB+srcOff+b), o*dstB+dstOff+b)
+	sg := graph.New(name, B)
+	if _, err := sg.AddTensor(n.In[0], []int{inFeats, B}, false); err != nil {
+		return nil, err
+	}
+	sg.Input = n.In[0]
+	if n.Kind == graph.Gemm {
+		if _, err := sg.AddTensor(n.In[1], []int{width, n.Gemm.K}, true); err != nil {
+			return nil, err
 		}
 	}
-}
-
-// fullInput builds the whole-batch input tensor a functional data-parallel
-// run shards from, filled exactly like fillInputs fills the single-machine
-// input.
-func fullInput(g *graph.Graph) *tensor.Tensor {
-	gt, _ := g.Tensor(g.Input)
-	in := tensor.New(g.Input, gt.Dims...)
-	in.FillPattern()
-	for i := range in.Data {
-		in.Data[i] = (in.Data[i] + 4) / 8
+	if _, err := sg.AddTensor(n.Out, []int{outFeats, B}, false); err != nil {
+		return nil, err
 	}
-	return in
+	if err := sg.AddNode(node); err != nil {
+		return nil, err
+	}
+	sg.Output = n.Out
+	return sg, sg.Validate()
 }
 
-// shardPlan is one distinct shard batch size's rebuilt graph, resolved
-// schedules and buffer plan.
-type shardPlan struct {
-	g        *graph.Graph
-	resolved map[string]*resolvedOp
-	plan     Plan
+// fullTensor builds a full-graph tensor filled exactly like fillInputs
+// fills it on a single machine (fanIn 0 for the graph input).
+func fullTensor(g *graph.Graph, name string, fanIn int) *tensor.Tensor {
+	t := tensor.New(name, graphDims(g, name)...)
+	fillPattern(t, fanIn)
+	return t
+}
+
+// copySpan copies columns [srcOff, srcOff+n) of every src row of width
+// srcW into columns [dstOff, dstOff+n) of the dst rows of width dstW. The
+// copy runs through the logical flat order, so it is layout- and
+// reshape-agnostic: with batch as the fastest dimension a row width of B
+// slices the batch, and a row spanning the whole tensor slices a flat
+// range (fc weight rows and output features).
+func copySpan(dst *tensor.Tensor, dstW, dstOff int, src *tensor.Tensor, srcW, srcOff, n int) {
+	outer := src.Len() / srcW
+	for o := 0; o < outer; o++ {
+		for b := 0; b < n; b++ {
+			setFlat(dst, atFlat(src, o*srcW+srcOff+b), o*dstW+dstOff+b)
+		}
+	}
 }
 
 // runGroups executes fn(0..G-1), concurrently unless the serial
@@ -115,191 +476,6 @@ func runGroups(G int, serial bool, fn func(int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// runDataParallel shards the batch across the groups and runs the net
-// concurrently. Networks whose graph ends in a fully-connected tail take
-// the hybrid path (swCaffe's split: batch-sharded convolutions, then
-// column-sharded fc layers so each group loads only 1/G of the fc weights);
-// everything else runs the full net on every group's shard, fleet time =
-// slowest group plus the modeled gather of the shard outputs.
-func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	G := opts.Groups
-	shards, err := cluster.ShardBatch(g.Batch, G)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
-	fleet, err := cluster.New(G)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
-	topo := g.Topo()
-	tailStart, hybrid := hybridTail(g, topo)
-
-	// Resolve schedules once per distinct shard size, sequentially — the
-	// library and tuner are never touched while groups execute. The hybrid
-	// path resolves only the convolution head at shard batch; its fc tail
-	// executes as full-batch column shards resolved separately below. A
-	// zero shard (batch < groups) has no graph to build: that group idles.
-	plans := map[int]*shardPlan{}
-	for _, b := range shards {
-		if b == 0 || plans[b] != nil {
-			continue
-		}
-		sg, err := buildShard(g, opts, b)
-		if err != nil {
-			return nil, err
-		}
-		st := sg.Topo()
-		if len(st) != len(topo) {
-			return nil, fmt.Errorf("infer %s: batch-%d shard has %d nodes, the full graph %d",
-				g.Name, b, len(st), len(topo))
-		}
-		nodes := st
-		if hybrid {
-			nodes = st[:tailStart]
-		}
-		resolved, err := e.resolveNodes(ctx, sg, nodes, opts)
-		if err != nil {
-			return nil, err
-		}
-		plans[b] = &shardPlan{g: sg, resolved: resolved, plan: planBuffers(sg)}
-	}
-	if hybrid {
-		return e.runHybridDP(ctx, g, opts, fleet, shards, plans, tailStart)
-	}
-	opts.job.SetDetail(fmt.Sprintf("executing on %d groups", G))
-
-	var fullIn *tensor.Tensor
-	if opts.Functional {
-		if _, err := batchDim(mustDims(g, g.Input), g.Batch); err != nil {
-			return nil, fmt.Errorf("infer %s: input: %w", g.Name, err)
-		}
-		if _, err := batchDim(mustDims(g, g.Output), g.Batch); err != nil {
-			return nil, fmt.Errorf("infer %s: output: %w", g.Name, err)
-		}
-		fullIn = fullInput(g)
-	}
-	offs := make([]int, G)
-	for i := 1; i < G; i++ {
-		offs[i] = offs[i-1] + shards[i-1]
-	}
-
-	groups := make([]*Result, G)
-	errs := make([]error, G)
-	run := func(i int) {
-		if shards[i] == 0 {
-			// Empty shard: skipped, not executed — the group contributes
-			// nothing and its machine clock stays at zero.
-			return
-		}
-		sp := plans[shards[i]]
-		ts, err := allocTensors(sp.g, sp.resolved, sp.plan, opts.Functional)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Functional {
-			// Every shard sees its true slice of the whole-batch input, so
-			// the gathered output is the whole-batch answer.
-			fillInputs(sp.g, ts)
-			copyBatchSlice(ts[sp.g.Input], shards[i], 0, fullIn, g.Batch, offs[i], shards[i])
-		}
-		env := execEnv{
-			m:            fleet.Machine(i),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
-			obs:          opts.Observer,
-			group:        i,
-			functional:   opts.Functional,
-			tolerance:    opts.Tolerance,
-			skipBaseline: true,
-		}
-		res := &Result{Net: sp.g.Name, Batch: shards[i], FLOPs: sp.g.FLOPs(), Plan: sp.plan}
-		timeline := &trace.Log{}
-		execT0 := time.Now()
-		if err := e.execNodes(ctx, sp.g, sp.g.Topo(), sp.resolved, ts, res, timeline, env); err != nil {
-			errs[i] = err
-			return
-		}
-		res.Seconds = env.m.Elapsed()
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec, fmt.Sprintf("exec shard b%d", shards[i]), i,
-				execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(res.Seconds * 1e3)})
-		}
-		res.Timeline = timeline
-		if opts.Functional {
-			res.Output = ts[sp.g.Output]
-		}
-		groups[i] = res
-	}
-	runGroups(G, opts.serialFleet, run)
-	for i := 0; i < G; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-
-	// Aggregate in fixed group order — the join point where the fleet
-	// becomes deterministic regardless of goroutine interleaving.
-	res := &Result{
-		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(),
-		Plan: plans[shards[0]].plan, Mode: ModeDataParallel,
-		Layers: groups[0].Layers,
-	}
-	maxSecs := 0.0
-	active := 0
-	timeline := &trace.Log{}
-	var agg sw26010.Counters
-	for i, gr := range groups {
-		if gr == nil {
-			// Idle group (zero shard): it appears in the report with zero
-			// batch and zero seconds, keeping the scale-out story honest.
-			res.Groups = append(res.Groups, GroupResult{Group: i})
-			continue
-		}
-		active++
-		if gr.Seconds > maxSecs {
-			maxSecs = gr.Seconds
-		}
-		timeline.MergeGroup(i, 0, gr.Timeline)
-		agg.Accumulate(fleet.Machine(i).Counters)
-		res.TunedOps += gr.TunedOps
-		res.CachedOps += gr.CachedOps
-		res.DegradedOps += gr.DegradedOps
-		res.Groups = append(res.Groups, GroupResult{
-			Group: i, Batch: shards[i], Seconds: gr.Seconds,
-			Counters: fleet.Machine(i).Counters,
-		})
-	}
-	outBytes := int64(elemCount(mustDims(g, g.Output))) * 4
-	// Only groups that ran contribute shard outputs to the gather.
-	res.CommSeconds = cluster.GatherSeconds(outBytes, active)
-	gatherSrcs := make([]string, 0, active)
-	for i, gr := range groups {
-		if gr != nil {
-			gatherSrcs = append(gatherSrcs, fmt.Sprintf("group%d", i))
-		}
-	}
-	timeline.AddGroupArgs(0, trace.KindComm, "gather outputs", maxSecs, res.CommSeconds,
-		map[string]string{"src": strings.Join(gatherSrcs, ","), "dst": "group0"})
-	res.Seconds = maxSecs + res.CommSeconds
-	res.Counters = agg
-	res.Timeline = timeline
-
-	if opts.Functional {
-		gt, _ := g.Tensor(g.Output)
-		out := tensor.New(g.Output, gt.Dims...)
-		for i, gr := range groups {
-			if gr == nil {
-				continue
-			}
-			copyBatchSlice(out, g.Batch, offs[i], gr.Output, shards[i], 0, shards[i])
-		}
-		res.Output = out
-	}
-	publishFleet(opts, fleet, res)
-	return res, nil
 }
 
 // hybridTail locates the fully-connected tail of a graph and reports
@@ -358,614 +534,6 @@ func shardCols(m, G int) []int {
 		}
 	}
 	return w
-}
-
-// miniPlan is one resolved single-node graph of the hybrid fc tail.
-type miniPlan struct {
-	g        *graph.Graph
-	resolved map[string]*resolvedOp
-	plan     Plan
-}
-
-// tailPlan is one fc-tail node's sharding: per-group column widths and the
-// resolved mini graph per distinct width (key 0 for the unsharded
-// elementwise ops). fullW carries the functional-mode full weight values
-// the shards slice their rows from.
-type tailPlan struct {
-	node   *graph.Node
-	widths []int
-	offs   []int
-	minis  map[int]*miniPlan
-	fullW  *tensor.Tensor
-}
-
-// buildGemmShard builds the single-node graph of one group's column shard
-// of a fully-connected layer: out[width×B] = weight[width×K] × in[K×B].
-func buildGemmShard(net string, n *graph.Node, width, batch int) (*graph.Graph, error) {
-	sg := graph.New(fmt.Sprintf("%s_%s_w%d", net, n.Name, width), batch)
-	if _, err := sg.AddTensor("input", []int{n.Gemm.K, batch}, false); err != nil {
-		return nil, err
-	}
-	sg.Input = "input"
-	if _, err := sg.AddTensor("weight", []int{width, n.Gemm.K}, true); err != nil {
-		return nil, err
-	}
-	if _, err := sg.AddTensor("out", []int{width, batch}, false); err != nil {
-		return nil, err
-	}
-	if err := sg.AddNode(&graph.Node{
-		Name: n.Name, Kind: graph.Gemm, In: []string{"input", "weight"}, Out: "out",
-		Gemm: gemm.Params{M: width, N: batch, K: n.Gemm.K},
-	}); err != nil {
-		return nil, err
-	}
-	sg.Output = "out"
-	return sg, sg.Validate()
-}
-
-// buildEltwiseShard builds the single-node graph of a tail elementwise op
-// over the full activation (every group runs it redundantly after the
-// all-gather, like the duplicated activations of tensor parallelism).
-func buildEltwiseShard(net string, n *graph.Node, feats, batch int) (*graph.Graph, error) {
-	sg := graph.New(fmt.Sprintf("%s_%s_full", net, n.Name), batch)
-	if _, err := sg.AddTensor("input", []int{feats, batch}, false); err != nil {
-		return nil, err
-	}
-	sg.Input = "input"
-	if _, err := sg.AddTensor("out", []int{feats, batch}, false); err != nil {
-		return nil, err
-	}
-	if err := sg.AddNode(&graph.Node{
-		Name: n.Name, Kind: n.Kind, In: []string{"input"}, Out: "out",
-	}); err != nil {
-		return nil, err
-	}
-	sg.Output = "out"
-	return sg, sg.Validate()
-}
-
-// sliceRows copies rows [off, off+w) of the full [M,K] weight into a
-// shard's [w,K] weight through the logical flat order, so the shard
-// computes exactly its slice of the single-machine layer.
-func sliceRows(dst, src *tensor.Tensor, off, w, k int) {
-	for m := 0; m < w; m++ {
-		for j := 0; j < k; j++ {
-			setFlat(dst, atFlat(src, (off+m)*k+j), m*k+j)
-		}
-	}
-}
-
-// gatherRows copies a shard's [w,B] output into rows [off, off+w) of the
-// full [M,B] activation.
-func gatherRows(dst, src *tensor.Tensor, off, w, b int) {
-	for m := 0; m < w; m++ {
-		for j := 0; j < b; j++ {
-			setFlat(dst, atFlat(src, m*b+j), (off+m)*b+j)
-		}
-	}
-}
-
-// addCommEvents stamps one cross-group collective on every group's
-// timeline row, each event labeled with its own group as the source and
-// the collective's destination ("all groups" for an all-gather, a specific
-// group for a gather) so overlapping collectives stay distinguishable in
-// the Gantt legend.
-func addCommEvents(l *trace.Log, G int, name, dst string, start, dur float64) {
-	if dur <= 0 {
-		return
-	}
-	for i := 0; i < G; i++ {
-		l.AddGroupArgs(i, trace.KindComm, name, start, dur,
-			map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
-	}
-}
-
-// runHybridDP executes the hybrid data-parallel split: the convolution
-// head runs batch-sharded (each group its slice of the batch), the
-// activations are all-gathered, and the fully-connected tail runs
-// column-sharded at the full batch — each group loads 1/G of the fc
-// weights, which is what lets a weight-DMA-bound tail scale with the
-// fleet. Every tail layer is a lockstep phase joined by a barrier, so the
-// fleet clock and all aggregates are computed in fixed group order from
-// per-machine simulated quantities: bit-identical across worker counts
-// and goroutine interleavings.
-func (e *Engine) runHybridDP(ctx context.Context, g *graph.Graph, opts Options,
-	fleet *cluster.Fleet, shards []int, plans map[int]*shardPlan, tailStart int) (*Result, error) {
-	G := opts.Groups
-	topo := g.Topo()
-	B := g.Batch
-
-	// Column shards and resolved mini graphs for every tail node —
-	// sequential, like all schedule resolution.
-	tails := make([]*tailPlan, 0, len(topo)-tailStart)
-	for _, n := range topo[tailStart:] {
-		tp := &tailPlan{node: n, minis: map[int]*miniPlan{}}
-		if n.Kind == graph.Gemm {
-			tp.widths = shardCols(n.Gemm.M, G)
-			tp.offs = make([]int, G)
-			for i := 1; i < G; i++ {
-				tp.offs[i] = tp.offs[i-1] + tp.widths[i-1]
-			}
-			for _, w := range tp.widths {
-				if w == 0 || tp.minis[w] != nil {
-					continue
-				}
-				mg, err := buildGemmShard(g.Name, n, w, B)
-				if err != nil {
-					return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-				}
-				resolved, err := e.resolveNodes(ctx, mg, mg.Topo(), opts)
-				if err != nil {
-					return nil, err
-				}
-				tp.minis[w] = &miniPlan{g: mg, resolved: resolved, plan: planBuffers(mg)}
-			}
-			if opts.Functional {
-				fw := tensor.New(n.In[1], mustDims(g, n.In[1])...)
-				fw.FillPattern()
-				scale := 1 / (4 * float32(n.Gemm.K))
-				for i := range fw.Data {
-					fw.Data[i] *= scale
-				}
-				tp.fullW = fw
-			}
-		} else {
-			feats := elemCount(mustDims(g, n.Out)) / B
-			mg, err := buildEltwiseShard(g.Name, n, feats, B)
-			if err != nil {
-				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-			}
-			tp.minis[0] = &miniPlan{g: mg, resolved: map[string]*resolvedOp{}, plan: planBuffers(mg)}
-		}
-		tails = append(tails, tp)
-	}
-	opts.job.SetDetail(fmt.Sprintf("executing on %d groups (hybrid fc tail)", G))
-
-	var fullIn *tensor.Tensor
-	if opts.Functional {
-		if _, err := batchDim(mustDims(g, g.Input), B); err != nil {
-			return nil, fmt.Errorf("infer %s: input: %w", g.Name, err)
-		}
-		fullIn = fullInput(g)
-	}
-	offs := make([]int, G)
-	for i := 1; i < G; i++ {
-		offs[i] = offs[i-1] + shards[i-1]
-	}
-	envs := make([]execEnv, G)
-	for i := 0; i < G; i++ {
-		envs[i] = execEnv{
-			m:            fleet.Machine(i),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
-			obs:          opts.Observer,
-			group:        i,
-			functional:   opts.Functional,
-			tolerance:    opts.Tolerance,
-			skipBaseline: true,
-		}
-	}
-
-	res := &Result{
-		Net: g.Name, Batch: B, FLOPs: g.FLOPs(),
-		Plan: plans[shards[0]].plan, Mode: ModeDataParallel,
-	}
-	timeline := &trace.Log{}
-	errs := make([]error, G)
-
-	// Phase 1: the convolution head, batch-sharded exactly like the pure
-	// data-parallel path.
-	headOut := g.Input
-	if tailStart > 0 {
-		headOut = topo[tailStart-1].Out
-	}
-	headRes := make([]*Result, G)
-	headFeat := make([]*tensor.Tensor, G)
-	runGroups(G, opts.serialFleet, func(i int) {
-		if shards[i] == 0 {
-			// Empty shard: no head work. The group still joins the
-			// column-sharded fc tail after the all-gather.
-			return
-		}
-		sp := plans[shards[i]]
-		ts, err := allocTensors(sp.g, sp.resolved, sp.plan, opts.Functional)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Functional {
-			fillInputs(sp.g, ts)
-			copyBatchSlice(ts[sp.g.Input], shards[i], 0, fullIn, B, offs[i], shards[i])
-		}
-		r := &Result{}
-		log := &trace.Log{}
-		execT0 := time.Now()
-		if err := e.execNodes(ctx, sp.g, sp.g.Topo()[:tailStart], sp.resolved, ts, r, log, envs[i]); err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec, fmt.Sprintf("exec conv head b%d", shards[i]), i,
-				execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(envs[i].m.Elapsed() * 1e3)})
-		}
-		r.Timeline = log
-		headRes[i] = r
-		if opts.Functional {
-			headFeat[i] = ts[headOut]
-		}
-	})
-	for i := 0; i < G; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-	clock := 0.0
-	for i := 0; i < G; i++ {
-		if headRes[i] == nil {
-			continue
-		}
-		if now := fleet.Machine(i).Now(); now > clock {
-			clock = now
-		}
-		timeline.MergeGroup(i, 0, headRes[i].Timeline)
-		res.TunedOps += headRes[i].TunedOps
-		res.CachedOps += headRes[i].CachedOps
-		res.DegradedOps += headRes[i].DegradedOps
-	}
-	res.Layers = append(res.Layers, headRes[0].Layers...)
-
-	var fullAct *tensor.Tensor
-	if opts.Functional {
-		if tailStart == 0 {
-			fullAct = fullIn
-		} else {
-			fullAct = tensor.New(headOut, mustDims(g, headOut)...)
-			for i := 0; i < G; i++ {
-				if headFeat[i] == nil {
-					continue
-				}
-				copyBatchSlice(fullAct, B, offs[i], headFeat[i], shards[i], 0, shards[i])
-			}
-		}
-	}
-	var comm float64
-	if tailStart > 0 {
-		step := cluster.AllGatherSeconds(int64(elemCount(mustDims(g, headOut)))*4, G)
-		addCommEvents(timeline, G, "allgather "+headOut, "all groups", clock, step)
-		clock += step
-		comm += step
-	}
-
-	// Phase 2: the fc tail. Each layer is one lockstep phase — shard gemms
-	// (or the redundant full elementwise op), barrier, then the modeled
-	// collective: all-gather between layers, a plain gather onto the lead
-	// group for the final output.
-	for ti, tp := range tails {
-		n := tp.node
-		phaseStart := clock
-		durs := make([]float64, G)
-		t0s := make([]float64, G)
-		logs := make([]*trace.Log, G)
-		rs := make([]*Result, G)
-		outs := make([]*tensor.Tensor, G)
-		runGroups(G, opts.serialFleet, func(i int) {
-			key := 0
-			if n.Kind == graph.Gemm {
-				if tp.widths[i] == 0 {
-					return
-				}
-				key = tp.widths[i]
-			}
-			mp := tp.minis[key]
-			ts, err := allocTensors(mp.g, mp.resolved, mp.plan, opts.Functional)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if opts.Functional {
-				copyFlat(ts[mp.g.Input], fullAct)
-				if n.Kind == graph.Gemm {
-					sliceRows(ts["weight"], tp.fullW, tp.offs[i], tp.widths[i], n.Gemm.K)
-				}
-			}
-			t0 := envs[i].m.Now()
-			r := &Result{}
-			log := &trace.Log{}
-			execT0 := time.Now()
-			if err := e.execNodes(ctx, mp.g, mp.g.Topo(), mp.resolved, ts, r, log, envs[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			t0s[i] = t0
-			durs[i] = envs[i].m.Now() - t0
-			if opts.Spans != nil {
-				opts.Spans.AddGroup(reqtrace.PhaseExec, "exec fc "+n.Name, i, execT0, time.Since(execT0),
-					map[string]string{"machine_ms": reqtrace.MsArg(durs[i] * 1e3)})
-			}
-			logs[i] = log
-			rs[i] = r
-			if opts.Functional {
-				outs[i] = ts[mp.g.Output]
-			}
-		})
-		for i := 0; i < G; i++ {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		dmax := 0.0
-		for i := 0; i < G; i++ {
-			if rs[i] == nil {
-				continue
-			}
-			if durs[i] > dmax {
-				dmax = durs[i]
-			}
-			timeline.MergeGroup(i, phaseStart-t0s[i], logs[i])
-			res.TunedOps += rs[i].TunedOps
-			res.CachedOps += rs[i].CachedOps
-			res.DegradedOps += rs[i].DegradedOps
-		}
-		// One report line per net layer: the lead group's shard run,
-		// restamped onto the fleet clock, carrying the whole layer's FLOPs.
-		layer := rs[0].Layers[0]
-		layer.Start = phaseStart
-		if n.Kind == graph.Gemm {
-			layer.FLOPs = n.Gemm.FLOPs()
-		}
-		res.Layers = append(res.Layers, layer)
-		clock = phaseStart + dmax
-		if n.Kind == graph.Gemm {
-			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
-			var step float64
-			var what, dst string
-			if ti == len(tails)-1 {
-				step = cluster.GatherSeconds(bytes, G)
-				what = "gather " + n.Name
-				dst = "group0"
-			} else {
-				step = cluster.AllGatherSeconds(bytes, G)
-				what = "allgather " + n.Name
-				dst = "all groups"
-			}
-			addCommEvents(timeline, G, what, dst, clock, step)
-			clock += step
-			comm += step
-		}
-		if opts.Functional {
-			if n.Kind == graph.Gemm {
-				act := tensor.New(n.Out, mustDims(g, n.Out)...)
-				for i := 0; i < G; i++ {
-					if outs[i] == nil {
-						continue
-					}
-					gatherRows(act, outs[i], tp.offs[i], tp.widths[i], B)
-				}
-				fullAct = act
-			} else {
-				fullAct = outs[0]
-			}
-		}
-	}
-
-	res.Seconds = clock
-	res.CommSeconds = comm
-	var agg sw26010.Counters
-	for i := 0; i < G; i++ {
-		agg.Accumulate(fleet.Machine(i).Counters)
-		res.Groups = append(res.Groups, GroupResult{
-			Group: i, Batch: shards[i], Seconds: fleet.Machine(i).Elapsed(),
-			Counters: fleet.Machine(i).Counters,
-		})
-	}
-	res.Counters = agg
-	res.Timeline = timeline
-	if opts.Functional {
-		res.Output = fullAct
-	}
-	publishFleet(opts, fleet, res)
-	return res, nil
-}
-
-// runPipeline partitions the net into Groups balanced stages by per-layer
-// tuned cost and streams Batch micro-batches of size 1 through them. The
-// fleet time comes from the pipeline schedule over measured per-stage
-// micro-batch durations and modeled stage hand-offs. Timed-only.
-func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	if opts.Functional {
-		return nil, fmt.Errorf("infer %s: pipeline mode is timed-only (activations stream between groups; use data parallelism for functional runs)", g.Name)
-	}
-	G := opts.Groups
-	M := g.Batch // micro-batch size 1: one micro-batch per sample
-	mg, err := buildShard(g, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	topo := mg.Topo()
-	if len(topo) < G {
-		return nil, fmt.Errorf("infer %s: %d nodes cannot fill %d pipeline stages", g.Name, len(topo), G)
-	}
-	resolved, err := e.resolveAll(ctx, mg, opts)
-	if err != nil {
-		return nil, err
-	}
-	plan := planBuffers(mg)
-
-	// Probe pass: one sequential micro-batch on a scratch machine yields
-	// the per-layer tuned costs the partitioner balances. Purely simulated
-	// quantities, so the partition is deterministic.
-	opts.job.SetDetail("partitioning pipeline stages")
-	probeTs, err := allocTensors(mg, resolved, plan, false)
-	if err != nil {
-		return nil, err
-	}
-	probe := &Result{}
-	probeEnv := execEnv{m: sw26010.NewMachine(), group: -1, skipBaseline: true}
-	if err := e.execNodes(ctx, mg, topo, resolved, probeTs, probe, &trace.Log{}, probeEnv); err != nil {
-		return nil, err
-	}
-	costs := make([]float64, len(probe.Layers))
-	for i, l := range probe.Layers {
-		costs[i] = l.Seconds
-	}
-	stages, err := cluster.PartitionBalanced(costs, G)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
-	xfer := make([]float64, G-1)
-	for s := 0; s < G-1; s++ {
-		xfer[s] = cluster.StageTransferSeconds(cutBytes(mg, topo, stages[s][1]))
-	}
-
-	// Execute: stage s runs its node range M times on group s's machine.
-	// Stages are independent machines, so they run concurrently; the
-	// schedule joins them afterwards in fixed order.
-	opts.job.SetDetail(fmt.Sprintf("executing %d stages x %d micro-batches", G, M))
-	fleet, err := cluster.New(G)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
-	d := make([][]float64, G)
-	segStart := make([][]float64, G)
-	segLogs := make([][]*trace.Log, G)
-	stageLayers := make([][]Layer, G)
-	errs := make([]error, G)
-	run := func(s int) {
-		ts, err := allocTensors(mg, resolved, plan, false)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		env := execEnv{
-			m:            fleet.Machine(s),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(s)),
-			obs:          opts.Observer,
-			group:        s,
-			skipBaseline: true,
-		}
-		nodes := topo[stages[s][0]:stages[s][1]]
-		d[s] = make([]float64, M)
-		segStart[s] = make([]float64, M)
-		segLogs[s] = make([]*trace.Log, M)
-		execT0 := time.Now()
-		for mi := 0; mi < M; mi++ {
-			t0 := env.m.Now()
-			log := &trace.Log{}
-			r := &Result{}
-			if err := e.execNodes(ctx, mg, nodes, resolved, ts, r, log, env); err != nil {
-				errs[s] = err
-				return
-			}
-			d[s][mi] = env.m.Now() - t0
-			segStart[s][mi] = t0
-			segLogs[s][mi] = log
-			if mi == 0 {
-				stageLayers[s] = r.Layers
-			}
-		}
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec,
-				fmt.Sprintf("exec stage %d x%d", s, M), s, execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(env.m.Elapsed() * 1e3)})
-		}
-	}
-	runGroups(G, opts.serialFleet, run)
-	for s := 0; s < G; s++ {
-		if errs[s] != nil {
-			return nil, errs[s]
-		}
-	}
-
-	sched, err := cluster.SchedulePipeline(d, xfer)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
-
-	res := &Result{
-		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: plan,
-		Mode:        ModePipeline,
-		Seconds:     sched.TotalSeconds,
-		CommSeconds: sched.CommSeconds,
-		Pipeline: &PipelineReport{
-			MicroBatches:   M,
-			BubbleFraction: sched.BubbleFraction,
-		},
-	}
-	timeline := &trace.Log{}
-	var agg sw26010.Counters
-	for s := 0; s < G; s++ {
-		// Rebase each micro-run from its machine-local clock onto the
-		// fleet-schedule clock; intra-run structure shifts rigidly.
-		for mi := 0; mi < M; mi++ {
-			timeline.MergeGroup(s, sched.Start[s][mi]-segStart[s][mi], segLogs[s][mi])
-			if s < G-1 && xfer[s] > 0 {
-				timeline.AddGroupArgs(s, trace.KindComm,
-					fmt.Sprintf("stage %d->%d", s, s+1), sched.Finish[s][mi], xfer[s],
-					map[string]string{
-						"src": fmt.Sprintf("group%d", s),
-						"dst": fmt.Sprintf("group%d", s+1),
-					})
-			}
-		}
-		agg.Accumulate(fleet.Machine(s).Counters)
-		stage := StageReport{Group: s, Seconds: d[s][0]}
-		for _, n := range topo[stages[s][0]:stages[s][1]] {
-			stage.Nodes = append(stage.Nodes, n.Name)
-		}
-		if s < G-1 {
-			stage.TransferSeconds = xfer[s]
-		}
-		res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
-		res.Groups = append(res.Groups, GroupResult{
-			Group: s, Batch: 1, Seconds: sched.BusySeconds[s],
-			Counters: fleet.Machine(s).Counters,
-		})
-		// Fleet-clock layer views for micro-batch 0.
-		for _, l := range stageLayers[s] {
-			l.Start += sched.Start[s][0] - segStart[s][0]
-			res.Layers = append(res.Layers, l)
-		}
-	}
-	// Resolution counts describe the net once, not once per micro-batch:
-	// take them from the probe pass.
-	res.TunedOps = probe.TunedOps
-	res.CachedOps = probe.CachedOps
-	res.DegradedOps = probe.DegradedOps
-	res.Counters = agg
-	res.Timeline = timeline
-	publishFleet(opts, fleet, res)
-	return res, nil
-}
-
-// cutBytes sums the bytes of intermediate activations crossing the stage
-// boundary before topo index cut: tensors produced by a node before the cut
-// and read by a node at or after it. Parameters and the graph input stay
-// resident on their stage's group and do not transfer.
-func cutBytes(g *graph.Graph, topo []*graph.Node, cut int) int64 {
-	producer := map[string]int{}
-	for i, n := range topo {
-		producer[n.Out] = i
-	}
-	seen := map[string]bool{}
-	var bytes int64
-	for j := cut; j < len(topo); j++ {
-		for _, in := range topo[j].In {
-			p, ok := producer[in]
-			if !ok || p >= cut || seen[in] {
-				continue
-			}
-			seen[in] = true
-			bytes += int64(elemCount(mustDims(g, in))) * 4
-		}
-	}
-	return bytes
-}
-
-// mustDims returns a graph tensor's logical dims (validated graphs always
-// have their tensors declared).
-func mustDims(g *graph.Graph, name string) []int {
-	t, _ := g.Tensor(name)
-	return t.Dims
 }
 
 // publishFleet writes a fleet run's instrumentation: per-group and

@@ -190,79 +190,6 @@ func TestFleetFunctionalMerge(t *testing.T) {
 	}
 }
 
-// TestFleetPipeline checks the layer-pipelined mode: balanced contiguous
-// stages covering every node, a deterministic schedule with a reported
-// bubble fraction, and per-group rows on the merged timeline.
-func TestFleetPipeline(t *testing.T) {
-	e := newEngine(t)
-	lib := cache.NewLibrary()
-	ctx := context.Background()
-
-	opts := fleetOpts(lib, 2)
-	opts.Pipeline = true
-	a, err := e.Run(ctx, tinyChain(t, 4), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Mode != ModePipeline || a.Pipeline == nil {
-		t.Fatalf("mode %q, pipeline %v", a.Mode, a.Pipeline)
-	}
-	if a.Pipeline.MicroBatches != 4 {
-		t.Fatalf("micro-batches = %d", a.Pipeline.MicroBatches)
-	}
-	if len(a.Pipeline.Stages) != 2 {
-		t.Fatalf("stages = %d", len(a.Pipeline.Stages))
-	}
-	nodeCount := 0
-	for s, st := range a.Pipeline.Stages {
-		if st.Group != s || len(st.Nodes) == 0 || st.Seconds <= 0 {
-			t.Fatalf("stage %d wrong: %+v", s, st)
-		}
-		nodeCount += len(st.Nodes)
-	}
-	topoLen := len(tinyChain(t, 1).Topo())
-	if nodeCount != topoLen {
-		t.Fatalf("stages cover %d nodes, graph has %d", nodeCount, topoLen)
-	}
-	if a.Pipeline.Stages[0].TransferSeconds <= 0 {
-		t.Fatal("stage 0 must report a hand-off cost")
-	}
-	if a.Pipeline.BubbleFraction <= 0 || a.Pipeline.BubbleFraction >= 1 {
-		t.Fatalf("bubble fraction = %g", a.Pipeline.BubbleFraction)
-	}
-	if a.CommSeconds <= 0 {
-		t.Fatalf("comm seconds = %g", a.CommSeconds)
-	}
-	// The makespan covers every stage's busy time plus fill/drain.
-	for s, gr := range a.Groups {
-		if a.Seconds < gr.Seconds {
-			t.Fatalf("makespan %g shorter than stage %d busy %g", a.Seconds, s, gr.Seconds)
-		}
-	}
-	if a.Timeline.Groups() != 2 {
-		t.Fatalf("timeline has %d group rows", a.Timeline.Groups())
-	}
-	// Micro-batch-0 layer views cover the whole net on the fleet clock.
-	if len(a.Layers) != topoLen {
-		t.Fatalf("%d layers, want %d", len(a.Layers), topoLen)
-	}
-
-	// Deterministic: concurrent and serial stages agree bit for bit.
-	sOpts := fleetOpts(lib, 2)
-	sOpts.Pipeline = true
-	sOpts.serialFleet = true
-	b, err := e.Run(ctx, tinyChain(t, 4), sOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Seconds != a.Seconds || b.CommSeconds != a.CommSeconds ||
-		b.Pipeline.BubbleFraction != a.Pipeline.BubbleFraction {
-		t.Fatalf("pipeline schedule drifted: %g/%g/%g vs %g/%g/%g",
-			b.Seconds, b.CommSeconds, b.Pipeline.BubbleFraction,
-			a.Seconds, a.CommSeconds, a.Pipeline.BubbleFraction)
-	}
-}
-
 // TestFleetEmptyShards is the groups > batch regression test: zero shards
 // are skipped, not executed — the run succeeds, idle groups appear in the
 // report with zero batch and zero seconds, the functional output still
@@ -358,8 +285,6 @@ func TestFleetValidation(t *testing.T) {
 		mut   func(*Options)
 		want  string
 	}{
-		{"pipeline without groups", 4, func(o *Options) { o.Groups = 1; o.Pipeline = true }, "at least 2 groups"},
-		{"functional pipeline", 4, func(o *Options) { o.Pipeline = true; o.Functional = true }, "timed-only"},
 		{"too many groups", 8, func(o *Options) { o.Groups = sw26010.NumCG + 1 }, "core groups"},
 		{"missing builder", 8, func(o *Options) { o.Builder = nil }, "Builder"},
 	}

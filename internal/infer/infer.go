@@ -186,21 +186,15 @@ type Options struct {
 	Spans *reqtrace.Spans
 
 	// Groups scales the run out across a fleet of simulated core groups
-	// (1..sw26010.NumCG — one SW26010 node). 0 or 1 keeps today's
-	// single-machine path exactly. Fleet runs need Builder set and force
-	// SkipBaseline; schedules still resolve sequentially up front, only
-	// execution parallelizes, and per-group machine seconds stay
+	// (1..sw26010.NumCG — one SW26010 node) by data parallelism. 0 or 1
+	// keeps today's single-machine path exactly. Fleet runs need Builder
+	// set and force SkipBaseline; schedules still resolve sequentially up
+	// front, only execution parallelizes, and per-group machine seconds stay
 	// bit-identical across worker counts and goroutine interleavings.
 	Groups int
-	// Pipeline switches a fleet run (Groups >= 2) from data parallelism
-	// (the batch sharded across groups, each running the full net) to layer
-	// pipelining: the net is partitioned into Groups balanced stages by
-	// per-layer tuned cost and micro-batches of size 1 stream through them.
-	// Timed-only: functional pipeline runs are rejected.
-	Pipeline bool
 	// Builder rebuilds the network at a different batch size (the facade
-	// passes a graph.ByName closure). Fleet modes need it: data parallelism
-	// runs shard-sized graphs, pipelining runs the batch-1 micro graph.
+	// passes a graph.ByName closure). Fleet runs need it to build the
+	// shard-sized graphs each group executes.
 	Builder func(batch int) (*graph.Graph, error)
 
 	// serialFleet forces fleet groups to execute sequentially instead of on
@@ -251,7 +245,6 @@ func (l Layer) GFLOPS() float64 {
 const (
 	ModeSingle       = "single"
 	ModeDataParallel = "data-parallel"
-	ModePipeline     = "pipeline"
 )
 
 // GroupResult is one core group's share of a fleet run.
@@ -259,35 +252,11 @@ type GroupResult struct {
 	// Group is the core-group index (metrics for it carry the
 	// cluster.GroupPrefix namespace).
 	Group int
-	// Batch is the group's shard size in data-parallel mode, or the
-	// micro-batch size (1) in pipeline mode.
+	// Batch is the group's shard of the batch (0 for an idle group).
 	Batch int
-	// Seconds is the group's own machine time: its full Elapsed() in
-	// data-parallel mode, its summed stage-busy time in pipeline mode.
+	// Seconds is the group's own machine time, its final Elapsed().
 	Seconds  float64
 	Counters sw26010.Counters
-}
-
-// StageReport is one pipeline stage of a pipelined fleet run.
-type StageReport struct {
-	// Group is the core group executing the stage.
-	Group int
-	// Nodes are the topo-order node names of the stage.
-	Nodes []string
-	// Seconds is the stage's execution time for one micro-batch;
-	// TransferSeconds the modeled hand-off of its boundary activations to
-	// the next stage (0 for the last stage).
-	Seconds         float64
-	TransferSeconds float64
-}
-
-// PipelineReport describes a pipelined fleet run's schedule.
-type PipelineReport struct {
-	MicroBatches int
-	Stages       []StageReport
-	// BubbleFraction is the fleet's idle share during the pipeline (fill
-	// and drain); see cluster.PipelineSchedule.
-	BubbleFraction float64
 }
 
 // Result is a completed network run.
@@ -297,9 +266,8 @@ type Result struct {
 	Layers []Layer
 	// Seconds is the total machine time of the network. On a single
 	// machine every node executes serially, so this is its final
-	// Elapsed(); on a fleet it is the aggregate timeline — max group time
-	// plus the gather in data-parallel mode, the pipeline makespan in
-	// pipeline mode.
+	// Elapsed(); on a fleet it is the aggregate timeline — per phase the
+	// slowest group plus the phase's collective.
 	Seconds float64
 	// BaselineSeconds sums the per-layer manual-library times; Speedup is
 	// their ratio (0 when the baseline was skipped).
@@ -318,18 +286,14 @@ type Result struct {
 	// CachedOps / DegradedOps / TunedOps count schedule resolutions by
 	// kind across the operator nodes (summed over groups in a fleet run).
 	TunedOps, CachedOps, DegradedOps int
-	// Mode reports how the run executed: ModeSingle, ModeDataParallel or
-	// ModePipeline.
+	// Mode reports how the run executed: ModeSingle or ModeDataParallel.
 	Mode string
 	// CommSeconds is the modeled cross-group communication time of a fleet
-	// run (the output gather, or the summed pipeline stage hand-offs).
+	// run (the summed collectives).
 	CommSeconds float64
 	// Groups is the per-group breakdown of a fleet run (nil on the single
 	// path).
 	Groups []GroupResult
-	// Pipeline is the stage partition and bubble report of a pipelined
-	// run (nil otherwise).
-	Pipeline *PipelineReport
 }
 
 // GFLOPS is the whole-network simulated throughput.
@@ -382,9 +346,6 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result
 			opts.job.Finish(obsrv.JobFailed)
 		}
 	}()
-	if opts.Pipeline && opts.Groups <= 1 {
-		return nil, fmt.Errorf("infer %s: pipeline mode needs at least 2 groups", g.Name)
-	}
 	if opts.Groups > 1 {
 		res, err := e.runFleet(ctx, g, opts)
 		if err != nil {
@@ -495,8 +456,7 @@ func (env execEnv) label() string {
 // execNodes executes nodes (a topo-order slice of g) on env's machine,
 // appending per-layer results and resolution counts into res and merging
 // node timelines (machine-clock times) into timeline. It is the shared
-// execution core of the single-machine path, each data-parallel group and
-// each pipeline stage.
+// execution core of the single-machine path and every fleet group's part.
 func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node,
 	resolved map[string]*resolvedOp, ts map[string]*tensor.Tensor,
 	res *Result, timeline *trace.Log, env execEnv) error {
@@ -621,9 +581,9 @@ func (e *Engine) resolveAll(ctx context.Context, g *graph.Graph, opts Options) (
 }
 
 // resolveNodes resolves schedules for the operator nodes in a topo-order
-// subset of the graph — the hybrid data-parallel path resolves a shard
-// graph's convolution head without tuning the fully-connected tail it
-// never executes at the shard batch.
+// subset of the graph — the hybrid fleet split resolves a shard graph's
+// convolution head without tuning the fully-connected tail it never
+// executes at the shard batch.
 func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (map[string]*resolvedOp, error) {
 	total := 0
 	for _, n := range nodes {
@@ -982,27 +942,30 @@ func allocTensors(g *graph.Graph, resolved map[string]*resolvedOp, plan Plan, fu
 // activation magnitudes stay bounded through arbitrarily deep networks and
 // per-layer oracle comparisons keep meaningful absolute tolerances.
 func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) {
-	in := ts[g.Input]
-	in.FillPattern()
-	for i := range in.Data {
-		in.Data[i] = (in.Data[i] + 4) / 8
-	}
+	fillPattern(ts[g.Input], 0)
 	for _, n := range g.Topo() {
-		var fanIn int
 		switch n.Kind {
 		case graph.Conv:
-			fanIn = n.Conv.Ni * n.Conv.Kr * n.Conv.Kc
+			fillPattern(ts[n.In[1]], n.Conv.Ni*n.Conv.Kr*n.Conv.Kc)
 		case graph.Gemm:
-			fanIn = n.Gemm.K
-		default:
-			continue
+			fillPattern(ts[n.In[1]], n.Gemm.K)
 		}
-		w := ts[n.In[1]]
-		w.FillPattern()
-		scale := 1 / (4 * float32(fanIn))
-		for i := range w.Data {
-			w.Data[i] *= scale
+	}
+}
+
+// fillPattern seeds one tensor: the graph input (fanIn 0) with activations
+// in [0,1), a parameter with the pattern scaled by 1/(4·fanIn).
+func fillPattern(t *tensor.Tensor, fanIn int) {
+	t.FillPattern()
+	if fanIn == 0 {
+		for i := range t.Data {
+			t.Data[i] = (t.Data[i] + 4) / 8
 		}
+		return
+	}
+	scale := 1 / (4 * float32(fanIn))
+	for i := range t.Data {
+		t.Data[i] *= scale
 	}
 }
 

@@ -110,7 +110,6 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 type ServerStatus struct {
 	Net           string  `json:"net"`
 	Groups        int     `json:"groups,omitempty"`
-	Pipeline      bool    `json:"pipeline,omitempty"`
 	MaxBatch      int     `json:"max_batch"`
 	BatchWindowMs float64 `json:"batch_window_ms"`
 	Buckets       []int   `json:"buckets"`
@@ -162,7 +161,6 @@ func (s *Server) Status() ServerStatus {
 	return ServerStatus{
 		Net:           s.cfg.Net,
 		Groups:        s.cfg.Groups,
-		Pipeline:      s.cfg.Pipeline,
 		MaxBatch:      s.cfg.MaxBatch,
 		BatchWindowMs: s.cfg.BatchWindow.Seconds() * 1e3,
 		Buckets:       s.Buckets(),

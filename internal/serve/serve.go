@@ -87,10 +87,9 @@ type Config struct {
 
 	// Workers is the tuning concurrency of cache misses.
 	Workers int
-	// Groups/Pipeline scale batch execution across the simulated
-	// core-group fleet, exactly as swinfer -groups/-pipeline do.
-	Groups   int
-	Pipeline bool
+	// Groups scales batch execution across the simulated core-group
+	// fleet, exactly as swinfer -groups does.
+	Groups int
 
 	// BreakerThreshold is how many consecutive bad batches (hard failures
 	// or degraded resolutions) trip the breaker open (default 3);
@@ -146,8 +145,8 @@ type Request struct {
 type Response struct {
 	ID  string `json:"id,omitempty"`
 	Net string `json:"net"`
-	// Mode is the execution path of the batch ("single", "data-parallel",
-	// "pipeline").
+	// Mode is the execution path of the batch ("single" or
+	// "data-parallel").
 	Mode string `json:"mode"`
 	// Batch is how many live requests the executed batch coalesced;
 	// Bucket is the padded batch size actually executed.
@@ -375,7 +374,6 @@ func (s *Server) runOptions(tuned bool) infer.Options {
 		Metrics:              s.reg,
 		Observer:             s.obs,
 		Groups:               s.cfg.Groups,
-		Pipeline:             s.cfg.Pipeline,
 		Builder:              s.cfg.Builder,
 	}
 }
