@@ -7,8 +7,8 @@ GO ?= go
 COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
-	search-check trace-check obs-check hostbench-test bench bench-snapshot \
-	bench-check bench-diff
+	search-check trace-check obs-check hostbench-test examples bench \
+	bench-snapshot bench-check bench-diff
 
 all: build
 
@@ -100,8 +100,16 @@ hostbench-test:
 	cd hostbench && $(GO) test ./...
 	cd hostbench && $(GO) vet ./... && $(GO) vet -unreachable ./...
 
+# Example programs: they drive the public facade (TuneConv,
+# BaselineConvSeconds, custom operators) the way a user would. quickstart
+# is left out because it tunes a whole network (~30 s).
+examples:
+	$(GO) run ./examples/winograd >/dev/null
+	$(GO) run ./examples/resnet_conv >/dev/null
+	$(GO) run ./examples/custom_operator >/dev/null
+
 # The tier-1 loop: what every change must keep green.
-ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check hostbench-test
+ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check hostbench-test examples
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -114,12 +114,6 @@ type Options struct {
 	// TopK overrides the number of finalists the model-based tuner
 	// actually runs (default: the package TopK constant).
 	TopK int
-	// Progress, when non-nil, is called after each candidate is processed
-	// with the number of processed and valid candidates so far and the best
-	// score seen so far: the lowest predicted seconds for the model-based
-	// tuner, the lowest measured seconds for the black-box tuner, 0 while no
-	// valid candidate exists. It is always invoked from a single goroutine.
-	Progress func(done, valid int, best float64)
 	// Faults, when non-nil, is threaded into every measurement (exec.Run
 	// and the simulated machine) so fault-injection tests can exercise the
 	// recovery paths below. Nil in production.
@@ -362,9 +356,6 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 				obsrv.Ms("predicted_ms", c.Predicted))
 		}
 		opts.job.Progress(done, valid, failed, best*1e3)
-		if opts.Progress != nil {
-			opts.Progress(done, valid, best)
-		}
 	}
 	eval := func(c *Candidate) error {
 		est, err := costmodel.EstimateProgram(model, c.Program)
@@ -399,14 +390,7 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 	// that cannot be measured is skipped, and only measuring *no* finalist
 	// is an error.
 	res.MachineSeconds = CompileLaunchOverheadSeconds
-	runEval := func(c *Candidate) error {
-		secs, err := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-		if err != nil {
-			return err
-		}
-		c.Measured = secs
-		return nil
-	}
+	runEval := measure(opts)
 	var best *Candidate
 	for _, r := range top {
 		c, err := evalCandidate(op, r.idx, r.c.Strategy, runEval, opts)
@@ -513,17 +497,13 @@ func BlackBoxCtx(ctx context.Context, op Operator, opts Options) (Result, error)
 				obsrv.Ms("measured_ms", c.Measured))
 		}
 		opts.job.Progress(done, len(runs), failed, b*1e3)
-		if opts.Progress != nil {
-			opts.Progress(done, len(runs), b)
-		}
 	}
+	measured := measure(opts)
 	eval := func(c *Candidate) error {
-		secs, err := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-		if err != nil {
+		if err := measured(c); err != nil {
 			// %w keeps the transient mark visible to the retry policy.
 			return fmt.Errorf("%s: %w", c.Strategy, err)
 		}
-		c.Measured = secs
 		return nil
 	}
 	spaceSize, failed, err := runPool(ctx, op, opts, eval, sink)
@@ -754,17 +734,18 @@ func runSequential(ctx context.Context, op Operator, opts Options,
 	return total, failed, nil
 }
 
-func runTimed(prog *ir.Program, inj *faults.Injector, reg *metrics.Registry, obs *obsrv.Observer) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
+// measure returns the evaluator that runs a candidate timed-only through
+// the tuner's fault injector, metrics and observer and records its
+// simulated seconds as Measured.
+func measure(opts Options) func(*Candidate) error {
+	return func(c *Candidate) error {
+		secs, err := exec.RunTimed(c.Program, exec.Options{
+			Faults: opts.Faults, Metrics: opts.Metrics, Observer: opts.Observer,
+		})
+		if err != nil {
+			return err
+		}
+		c.Measured = secs
+		return nil
 	}
-	r, err := exec.Run(prog, binds, exec.Options{
-		Functional: false, FastLoops: true,
-		Faults: inj, Metrics: reg, Observer: obs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Seconds, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"swatop/internal/conv"
 	"swatop/internal/gemm"
+	"swatop/internal/obsrv"
 	"swatop/internal/tensor"
 )
 
@@ -107,36 +108,27 @@ func TestTuningCancellation(t *testing.T) {
 
 func TestProgressReportsEveryCandidate(t *testing.T) {
 	op := smallOp(t, gemm.Params{M: 128, N: 128, K: 128})
-	var dones []int
-	lastValid := 0
-	lastBest := 0.0
-	res, err := ModelBasedCtx(context.Background(), op, model(t), Options{
-		Workers: 4,
-		Progress: func(done, valid int, best float64) {
-			dones = append(dones, done)
-			lastValid = valid
-			if best > 0 && lastBest > 0 && best > lastBest {
-				t.Errorf("best score went up: %g after %g", best, lastBest)
-			}
-			lastBest = best
-		},
-	})
+	obs := obsrv.New()
+	res, err := ModelBasedCtx(context.Background(), op, model(t), Options{Workers: 4, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dones) != res.SpaceSize {
-		t.Fatalf("progress fired %d times for %d points", len(dones), res.SpaceSize)
+	jobs := obs.Jobs().Snapshot()
+	if len(jobs) != 1 {
+		t.Fatalf("want one tune job, got %+v", jobs)
 	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("done counter not monotone at call %d: %v", i, dones)
-		}
+	j := jobs[0]
+	if j.Kind != "tune" || j.State != obsrv.JobDone {
+		t.Fatalf("job %+v, want a finished tune job", j)
 	}
-	if lastValid != res.Valid {
-		t.Fatalf("final valid count %d, result says %d", lastValid, res.Valid)
+	if j.Done != res.SpaceSize {
+		t.Fatalf("job saw %d of %d points", j.Done, res.SpaceSize)
 	}
-	if lastBest != res.Best.Predicted {
-		t.Fatalf("final best %g, result predicted %g", lastBest, res.Best.Predicted)
+	if j.Valid != res.Valid {
+		t.Fatalf("final valid count %d, result says %d", j.Valid, res.Valid)
+	}
+	if j.BestMs != res.Best.Measured*1e3 {
+		t.Fatalf("final best %g ms, result measured %g s", j.BestMs, res.Best.Measured)
 	}
 }
 

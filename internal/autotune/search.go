@@ -134,14 +134,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 			go func() {
 				defer wg.Done()
 				for idx := range jobs {
-					c, cerr := evalCandidate(op, idx, dims.At(idx), func(c *Candidate) error {
-						secs, rerr := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-						if rerr != nil {
-							return rerr
-						}
-						c.Measured = secs
-						return nil
-					}, opts)
+					c, cerr := evalCandidate(op, idx, dims.At(idx), measure(opts), opts)
 					mu.Lock()
 					switch {
 					case cerr != nil:
@@ -180,8 +173,8 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		return out
 	}
 
-	// Report: per-round metrics deltas, the live job, the Progress callback
-	// and the search.round / search.converged event stream.
+	// Report: per-round metrics deltas, the live job and the search.round /
+	// search.converged event stream.
 	var lastProposed, lastMeasured, lastPruned int64
 	report := func(ri search.RoundInfo) {
 		opts.Metrics.Counter("search_rounds_total").Inc()
@@ -197,9 +190,6 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		f := failed
 		mu.Unlock()
 		opts.job.Progress(ri.Proposed, ri.MeasuredN, f, ri.BestSeconds*1e3)
-		if opts.Progress != nil {
-			opts.Progress(ri.Proposed, ri.MeasuredN, ri.BestSeconds)
-		}
 		if opts.Observer.Enabled() {
 			opts.Observer.Emit(obsrv.LevelDebug, "search.round",
 				obsrv.F("op", op.Name()), obsrv.F("round", ri.Round),

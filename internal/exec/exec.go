@@ -127,6 +127,24 @@ func Run(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Result, e
 	return res, nil
 }
 
+// RunTimed measures a program: it binds virtual operands and runs the
+// program timed-only with fast loops, returning its simulated seconds. It
+// is the one measurement every tuner, baseline and runtime takes of a
+// program; opt supplies the optional faults, metrics and observer (its
+// Functional and FastLoops settings are overridden).
+func RunTimed(p *ir.Program, opt Options) (float64, error) {
+	binds, err := BindVirtual(p)
+	if err != nil {
+		return 0, err
+	}
+	opt.Functional, opt.FastLoops = false, true
+	res, err := Run(p, binds, opt)
+	if err != nil {
+		return 0, err
+	}
+	return res.Seconds, nil
+}
+
 func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Result, error) {
 	// The measurement-level injection point: a fired fault rejects the run
 	// before the machine starts, like a batch job lost to a flaky node.

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"swatop/internal/baseline"
 	"swatop/internal/conv"
-	"swatop/internal/ir"
+	"swatop/internal/exec"
 	"swatop/internal/workloads"
 )
 
@@ -31,42 +30,19 @@ type LayerRow struct {
 	SpacePoints int
 }
 
-// manualFor builds the best manual implementation for a method, or reports
-// that none exists.
-func manualFor(method string, s conv.Shape) (*ir.Program, bool, error) {
-	switch method {
-	case "implicit":
-		prog, err := baseline.SwDNNImplicit(s)
-		if err != nil {
-			return nil, true, nil // no manual version (e.g. batch 1)
+// manualSeconds times the manual-library implementation of a method; na
+// reports that none exists (swDNN's implicit conv rejects the batch size,
+// e.g. batch 1).
+func manualSeconds(method string, s conv.Shape) (secs float64, na bool, err error) {
+	prog, err := baseline.ManualConv(method, s)
+	if err != nil {
+		if method == conv.Implicit {
+			return 0, true, nil
 		}
-		return prog, false, nil
-	case "winograd":
-		prog, err := baseline.ManualWinograd(s)
-		if err != nil {
-			return nil, false, err
-		}
-		return prog, false, nil
-	case "explicit":
-		prog, err := baseline.ManualExplicit(s)
-		if err != nil {
-			return nil, false, err
-		}
-		return prog, false, nil
+		return 0, false, err
 	}
-	return nil, false, fmt.Errorf("unknown method %q", method)
-}
-
-// methodApplies mirrors the paper's applicability rules.
-func methodApplies(method string, s conv.Shape) bool {
-	switch method {
-	case "implicit":
-		return s.Ni >= conv.MinNiImplicit
-	case "winograd":
-		return conv.WinogradApplies(s)
-	default:
-		return true
-	}
+	secs, err = exec.RunTimed(prog, exec.Options{})
+	return secs, false, err
 }
 
 // convFig runs one of Figs. 5–7: tune every applicable layer of the three
@@ -74,6 +50,10 @@ func methodApplies(method string, s conv.Shape) bool {
 // Layers are tuned in parallel across r.Workers goroutines; row order is
 // the deterministic network/layer/batch order regardless of worker count.
 func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
+	m, err := conv.Lookup(method)
+	if err != nil {
+		return nil, err
+	}
 	type job struct {
 		layer workloads.ConvLayer
 		batch int
@@ -88,7 +68,7 @@ func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
 			}
 			for _, b := range batches {
 				s := l.Shape(b)
-				if !methodApplies(method, s) {
+				if !m.Applies(s) {
 					continue
 				}
 				jobs = append(jobs, job{layer: l, batch: b, shape: s})
@@ -98,7 +78,11 @@ func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
 	return collectRows(r, len(jobs), func(i int) (LayerRow, bool, error) {
 		j := jobs[i]
 		l, b, s := j.layer, j.batch, j.shape
-		tuned, err := r.tuneConv(context.Background(), method, s, 1)
+		op, err := m.NewOp(s)
+		if err != nil {
+			return LayerRow{}, false, err
+		}
+		tuned, err := r.tune(op, 1)
 		if err != nil {
 			return LayerRow{}, false, fmt.Errorf("%s %s b=%d: %w", method, l, b, err)
 		}
@@ -111,19 +95,14 @@ func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
 			row.Measured, row.SpacePoints = tuned.Measured, tuned.SpaceSize
 		}
 		row.Eff, row.ChipTFlops = Efficiency(s.FLOPs(), row.SwATOP)
-		manual, na, err := manualFor(method, s)
+		manual, na, err := manualSeconds(method, s)
 		if err != nil {
 			return LayerRow{}, false, fmt.Errorf("%s %s b=%d manual: %w", method, l, b, err)
 		}
-		if na {
-			row.ManualNA = true
-		} else {
-			t, err := RunProgram(manual)
-			if err != nil {
-				return LayerRow{}, false, fmt.Errorf("%s %s b=%d manual run: %w", method, l, b, err)
-			}
-			row.Manual = t
-			row.Speedup = t / row.SwATOP
+		row.ManualNA = na
+		if !na {
+			row.Manual = manual
+			row.Speedup = manual / row.SwATOP
 		}
 		return row, true, nil
 	})
@@ -131,13 +110,13 @@ func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
 
 // Fig5 reproduces Fig. 5: implicit CONV speedups over swDNN on the three
 // CNNs (batch 1 has no manual implementation).
-func (r *Runner) Fig5(batches []int) ([]LayerRow, error) { return r.convFig("implicit", batches) }
+func (r *Runner) Fig5(batches []int) ([]LayerRow, error) { return r.convFig(conv.Implicit, batches) }
 
 // Fig6 reproduces Fig. 6: Winograd CONV speedups on applicable layers.
-func (r *Runner) Fig6(batches []int) ([]LayerRow, error) { return r.convFig("winograd", batches) }
+func (r *Runner) Fig6(batches []int) ([]LayerRow, error) { return r.convFig(conv.Winograd, batches) }
 
 // Fig7 reproduces Fig. 7: explicit CONV speedups on all layers.
-func (r *Runner) Fig7(batches []int) ([]LayerRow, error) { return r.convFig("explicit", batches) }
+func (r *Runner) Fig7(batches []int) ([]LayerRow, error) { return r.convFig(conv.Explicit, batches) }
 
 // AvgSpeedup summarizes the comparable rows (manual exists) of a figure.
 func AvgSpeedup(rows []LayerRow, batch int) (avg float64, n int) {

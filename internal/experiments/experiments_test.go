@@ -58,15 +58,22 @@ func TestEfficiencyAccounting(t *testing.T) {
 }
 
 func TestMethodApplies(t *testing.T) {
+	applies := func(method string, s conv.Shape) bool {
+		m, err := conv.Lookup(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Applies(s)
+	}
 	small := conv.Shape{B: 1, Ni: 3, No: 8, Ro: 8, Co: 8, Kr: 3, Kc: 3}
-	if methodApplies("implicit", small) {
+	if applies(conv.Implicit, small) {
 		t.Fatal("implicit must exclude tiny Ni")
 	}
-	if !methodApplies("explicit", small) {
+	if !applies(conv.Explicit, small) {
 		t.Fatal("explicit applies everywhere")
 	}
 	odd := conv.Shape{B: 1, Ni: 64, No: 64, Ro: 7, Co: 7, Kr: 3, Kc: 3}
-	if methodApplies("winograd", odd) {
+	if applies(conv.Winograd, odd) {
 		t.Fatal("winograd must exclude odd extents")
 	}
 }
@@ -83,7 +90,7 @@ func TestRunProgramAndTuners(t *testing.T) {
 	if res.Best.Measured <= 0 {
 		t.Fatal("non-positive measured time")
 	}
-	if _, err := r.ConvOp("bogus", conv.Shape{}); err == nil {
+	if _, err := r.TuneConv("bogus", conv.Shape{}); err == nil {
 		t.Fatal("unknown method must error")
 	}
 	cres, err := r.TuneConv("implicit", conv.Shape{B: 32, Ni: 32, No: 32, Ro: 8, Co: 8, Kr: 3, Kc: 3})

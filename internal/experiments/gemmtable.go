@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"swatop/internal/baseline"
+	"swatop/internal/exec"
 	"swatop/internal/gemm"
 	"swatop/internal/workloads"
 )
@@ -52,7 +52,11 @@ func (r *Runner) GemmSweep() ([]GemmRow, error) {
 	add(workloads.Listing2Aligned(), true, 14)
 	rows, err := collectRows(r, len(jobs), func(i int) (GemmRow, bool, error) {
 		j := jobs[i]
-		tuned, err := r.tuneGemm(context.Background(), j.p, 1)
+		op, err := gemm.NewOp(j.p)
+		if err != nil {
+			return GemmRow{}, false, err
+		}
+		tuned, err := r.tune(op, 1)
 		if err != nil {
 			return GemmRow{}, false, fmt.Errorf("gemm sweep %v: %w", j.p, err)
 		}
@@ -60,7 +64,7 @@ func (r *Runner) GemmSweep() ([]GemmRow, error) {
 		if err != nil {
 			return GemmRow{}, false, err
 		}
-		xt, err := RunProgram(xm)
+		xt, err := exec.RunTimed(xm, exec.Options{})
 		if err != nil {
 			return GemmRow{}, false, err
 		}

@@ -8,6 +8,7 @@ import (
 	"swatop/internal/autotune"
 	"swatop/internal/conv"
 	"swatop/internal/dsl"
+	"swatop/internal/exec"
 	"swatop/internal/gemm"
 	"swatop/internal/workloads"
 )
@@ -80,7 +81,7 @@ func (r *Runner) Fig10() ([]Fig10Row, error) {
 			// prefetching is not applicable to it, as on real hardware.
 			continue
 		}
-		pf, err := RunProgram(prog)
+		pf, err := exec.RunTimed(prog, exec.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +135,7 @@ func (r *Runner) Fig11() ([]Fig11Row, error) {
 		if err != nil {
 			return Fig11Row{}, false, err
 		}
-		trad, err := RunProgram(tprog)
+		trad, err := exec.RunTimed(tprog, exec.Options{})
 		if err != nil {
 			return Fig11Row{}, false, err
 		}
@@ -154,7 +155,7 @@ func (r *Runner) Fig11() ([]Fig11Row, error) {
 		if err != nil {
 			return Fig11Row{}, false, err
 		}
-		ideal, err := RunProgram(iprog)
+		ideal, err := exec.RunTimed(iprog, exec.Options{})
 		if err != nil {
 			return Fig11Row{}, false, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"swatop/internal/baseline"
 	"swatop/internal/conv"
+	"swatop/internal/exec"
 	"swatop/internal/gemm"
 )
 
@@ -30,7 +31,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual, err := RunProgram(manualProg)
+	manual, err := exec.RunTimed(manualProg, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := RunProgram(mwProg)
+	mw, err := exec.RunTimed(mwProg, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := RunProgram(meProg)
+	me, err := exec.RunTimed(meProg, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xm, err := RunProgram(xmProg)
+		xm, err := exec.RunTimed(xmProg, exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

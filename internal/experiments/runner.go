@@ -5,16 +5,13 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"swatop/internal/autotune"
 	"swatop/internal/conv"
 	"swatop/internal/costmodel"
-	"swatop/internal/exec"
 	"swatop/internal/gemm"
-	"swatop/internal/ir"
 	"swatop/internal/metrics"
 	"swatop/internal/obsrv"
 	"swatop/internal/search"
@@ -81,88 +78,36 @@ func NewRunner() (*Runner, error) {
 	return &Runner{Model: m, Quick: true}, nil
 }
 
-// RunProgram measures a program on the simulator (timed-only, fast loops).
-func RunProgram(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
-}
-
-// TuneConv runs swATOP's model-based tuner on one convolution method and
-// returns the tuned program's simulated time. The candidate pool uses
-// r.Workers goroutines.
+// TuneConv runs swATOP's model-based tuner on one convolution method. The
+// candidate pool uses r.Workers goroutines.
 func (r *Runner) TuneConv(method string, s conv.Shape) (autotune.Result, error) {
-	return r.tuneConv(context.Background(), method, s, r.Workers)
-}
-
-// tuneConv is TuneConv with an explicit worker budget, so layer-parallel
-// sweeps can keep each inner tuning sequential instead of oversubscribing
-// the host.
-func (r *Runner) tuneConv(ctx context.Context, method string, s conv.Shape, workers int) (autotune.Result, error) {
-	op, err := r.ConvOp(method, s)
+	op, err := conv.NewOp(method, s)
 	if err != nil {
 		return autotune.Result{}, err
 	}
-	res, err := autotune.ModelBasedCtx(ctx, op, r.Model, r.tuneOptions(workers))
-	if err != nil {
-		return autotune.Result{}, err
-	}
-	secs, err := RunProgram(res.Best.Program)
-	if err != nil {
-		return autotune.Result{}, err
-	}
-	res.Best.Measured = secs
-	return res, nil
-}
-
-// tuneOptions assembles the shared tuner options of every sweep.
-func (r *Runner) tuneOptions(workers int) autotune.Options {
-	return autotune.Options{
-		Workers: workers, Retry: r.Retry, Metrics: r.Metrics, Observer: r.Observer,
-		Searcher: r.Searcher, SearchBudget: r.SearchBudget, SearchSeed: r.SearchSeed,
-	}
-}
-
-// ConvOp builds the tunable operator for a method name.
-func (r *Runner) ConvOp(method string, s conv.Shape) (autotune.Operator, error) {
-	switch method {
-	case "implicit":
-		return conv.NewImplicitOp(s)
-	case "explicit":
-		return conv.NewExplicitOp(s)
-	case "winograd":
-		return conv.NewWinogradOp(s)
-	}
-	return nil, fmt.Errorf("unknown conv method %q", method)
+	return r.tune(op, r.Workers)
 }
 
 // TuneGemm runs the model-based tuner on a GEMM shape. The candidate pool
 // uses r.Workers goroutines.
 func (r *Runner) TuneGemm(p gemm.Params) (autotune.Result, error) {
-	return r.tuneGemm(context.Background(), p, r.Workers)
-}
-
-func (r *Runner) tuneGemm(ctx context.Context, p gemm.Params, workers int) (autotune.Result, error) {
 	op, err := gemm.NewOp(p)
 	if err != nil {
 		return autotune.Result{}, err
 	}
-	res, err := autotune.ModelBasedCtx(ctx, op, r.Model, r.tuneOptions(workers))
-	if err != nil {
-		return autotune.Result{}, err
-	}
-	secs, err := RunProgram(res.Best.Program)
-	if err != nil {
-		return autotune.Result{}, err
-	}
-	res.Best.Measured = secs
-	return res, nil
+	return r.tune(op, r.Workers)
+}
+
+// tune runs the model-based tuner with the runner's shared options and an
+// explicit worker budget, so layer-parallel sweeps can keep each inner
+// tuning sequential instead of oversubscribing the host. The result's
+// Best.Measured is the winner's fault-free timed-only run — the number
+// every sweep reports.
+func (r *Runner) tune(op autotune.Operator, workers int) (autotune.Result, error) {
+	return autotune.ModelBasedCtx(context.Background(), op, r.Model, autotune.Options{
+		Workers: workers, Retry: r.Retry, Metrics: r.Metrics, Observer: r.Observer,
+		Searcher: r.Searcher, SearchBudget: r.SearchBudget, SearchSeed: r.SearchSeed,
+	})
 }
 
 // forEach runs fn(0..n-1) on up to r.Workers goroutines. Callers index a

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -54,7 +53,7 @@ func (r *Runner) sweep() ([]SweepRow, error) {
 	type job struct {
 		batch  int
 		shape  conv.Shape
-		method string
+		method conv.Method
 	}
 	var jobs []job
 	for _, batch := range workloads.Batches() {
@@ -63,36 +62,27 @@ func (r *Runner) sweep() ([]SweepRow, error) {
 			if r.Quick && i%7 != 0 {
 				continue // quick: a stratified 11 of 75 (stride coprime to the grid)
 			}
-			for _, method := range []string{"implicit", "explicit", "winograd"} {
-				if !methodApplies(method, s) {
-					continue
+			for _, m := range conv.Menu {
+				if m.Applies(s) {
+					jobs = append(jobs, job{batch: batch, shape: s, method: m})
 				}
-				jobs = append(jobs, job{batch: batch, shape: s, method: method})
 			}
 		}
 	}
 	rows, err := collectRows(r, len(jobs), func(i int) (SweepRow, bool, error) {
 		j := jobs[i]
-		tuned, err := r.tuneConv(context.Background(), j.method, j.shape, 1)
-		if err != nil {
-			return SweepRow{}, false, fmt.Errorf("sweep %s %v: %w", j.method, j.shape, err)
-		}
-		row := SweepRow{Method: j.method, Batch: j.batch, Shape: j.shape, SwATOP: tuned.Best.Measured}
-		row.Eff, row.TFlops = Efficiency(j.shape.FLOPs(), row.SwATOP)
-		manual, na, err := manualFor(j.method, j.shape)
+		op, err := j.method.NewOp(j.shape)
 		if err != nil {
 			return SweepRow{}, false, err
 		}
-		if na {
-			row.NA = true
-		} else {
-			t, err := RunProgram(manual)
-			if err != nil {
-				return SweepRow{}, false, err
-			}
-			row.Manual = t
+		tuned, err := r.tune(op, 1)
+		if err != nil {
+			return SweepRow{}, false, fmt.Errorf("sweep %s %v: %w", j.method.Name, j.shape, err)
 		}
-		return row, true, nil
+		row := SweepRow{Method: j.method.Name, Batch: j.batch, Shape: j.shape, SwATOP: tuned.Best.Measured}
+		row.Eff, row.TFlops = Efficiency(j.shape.FLOPs(), row.SwATOP)
+		row.Manual, row.NA, err = manualSeconds(j.method.Name, j.shape)
+		return row, true, err
 	})
 	if err != nil {
 		return nil, err
@@ -134,19 +124,16 @@ func (r *Runner) Table1() ([]Table1Cell, error) {
 	}
 	var out []Table1Cell
 	for _, batch := range workloads.Batches() {
-		for _, m := range []string{"implicit", "explicit", "winograd"} {
-			c := cells[key(m, batch)]
+		for _, m := range conv.Menu {
+			c := cells[key(m.Name, batch)]
 			if c == nil {
 				continue
 			}
-			finite := c.Faster
 			if c.FasterInf {
-				finite = 0 // all faster cases are "+∞"
-				c.AvgFasterPct = math.Inf(1)
+				c.AvgFasterPct = math.Inf(1) // all faster cases are "+∞"
 			} else if c.Faster > 0 {
 				c.AvgFasterPct = c.AvgFasterPct / float64(c.Faster) * 100
 			}
-			_ = finite
 			if c.Slower > 0 {
 				c.AvgSlowerPct = c.AvgSlowerPct / float64(c.Slower) * 100
 			}
@@ -185,8 +172,8 @@ func (r *Runner) Fig8() ([]Fig8Row, error) {
 	}
 	var out []Fig8Row
 	for _, batch := range workloads.Batches() {
-		for _, m := range []string{"implicit", "explicit", "winograd"} {
-			k := key(m, batch)
+		for _, m := range conv.Menu {
+			k := key(m.Name, batch)
 			if a := agg[k]; a != nil {
 				n := float64(counts[k])
 				a.AvgTFlops /= n

@@ -34,6 +34,10 @@ type Table3Row struct {
 // reported number is identical for any worker count (host wall sums are the
 // total of per-layer wall times, not elapsed time).
 func (r *Runner) Table3() ([]Table3Row, error) {
+	implicit, err := conv.Lookup(conv.Implicit)
+	if err != nil {
+		return nil, err
+	}
 	type job struct {
 		net   string
 		layer workloads.ConvLayer
@@ -45,7 +49,7 @@ func (r *Runner) Table3() ([]Table3Row, error) {
 			if r.Quick && li >= 5 {
 				break
 			}
-			if !methodApplies("implicit", l.Shape(32)) {
+			if !implicit.Applies(l.Shape(32)) {
 				continue
 			}
 			jobs = append(jobs, job{net: net, layer: l})

@@ -34,7 +34,7 @@ import (
 type shard struct {
 	g        *graph.Graph
 	nodes    []*graph.Node
-	resolved map[string]*resolvedOp
+	resolved map[string]*Resolved
 	plan     Plan
 }
 

@@ -35,13 +35,6 @@ import (
 	"swatop/internal/trace"
 )
 
-// Conv method names (matching baseline.FallbackConv).
-const (
-	methodImplicit = "implicit"
-	methodExplicit = "explicit"
-	methodWinograd = "winograd"
-)
-
 // Engine runs networks. Construct once (fitting the cost model is the
 // per-machine offline calibration) and reuse across runs; concurrent Runs
 // on one Engine are safe.
@@ -156,9 +149,6 @@ type Options struct {
 	Tolerance float64
 	// SkipBaseline skips the per-layer manual-library comparison run.
 	SkipBaseline bool
-	// Progress, when non-nil, is called after each operator node's
-	// schedule is resolved.
-	Progress func(node string, done, total int)
 	// Metrics, when non-nil, receives run instrumentation: per-layer
 	// schedule-resolution outcomes (infer_conv_cached_total, ...), conv
 	// method selections (infer_method_winograd_total, ...), the arena peak,
@@ -304,17 +294,41 @@ func (r *Result) GFLOPS() float64 {
 	return float64(r.FLOPs) / r.Seconds / 1e9
 }
 
-// resolvedOp is one operator node's schedule resolution.
-type resolvedOp struct {
-	prog *ir.Program
-	// secs is prog's timed-only seconds on a fresh machine when the
-	// compiled-schedule table supplied it; 0 until measured.
-	secs      float64
-	strategy  string
-	method    string // winning conv lowering method ("" for gemm/degraded)
-	spaceSize int
-	cached    bool
-	degraded  bool
+// Resolved is one operator's schedule resolution.
+type Resolved struct {
+	Program  *ir.Program
+	Strategy string
+	// Method is the winning conv lowering method ("" for gemm and degraded
+	// resolutions).
+	Method string
+	// SpaceSize is the number of valid schedules the tuner considered (the
+	// library entry's count on a hit, 0 when degraded).
+	SpaceSize int
+	// SpacePoints, Measured and Failed describe a fresh tune: the raw
+	// schedule-space size, the candidates a searcher measured and the
+	// candidates that failed. All zero on library hits and degradations.
+	SpacePoints, Measured, Failed int
+	Cached, Degraded              bool
+	// secs is Program's timed-only seconds on a fresh machine: supplied by
+	// the compiled-schedule table on library hits, 0 until measured
+	// otherwise.
+	secs float64
+}
+
+// Seconds is the program's timed-only seconds on a fresh, fault-free
+// machine, measured on first use unless the compiled-schedule table
+// supplied it. It never comes from the seconds a library entry stores, so a
+// cached and a freshly tuned resolution of one schedule report the same
+// time.
+func (r *Resolved) Seconds() (float64, error) {
+	if r.secs == 0 {
+		secs, err := exec.RunTimed(r.Program, exec.Options{})
+		if err != nil {
+			return 0, err
+		}
+		r.secs = secs
+	}
+	return r.secs, nil
 }
 
 // Run executes a network end to end. Schedules are resolved first (cache
@@ -340,27 +354,37 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	opts.Observer.Emit(obsrv.LevelInfo, "net.start",
 		obsrv.F("net", g.Name), obsrv.F("batch", g.Batch),
 		obsrv.F("nodes", len(g.Topo())))
-	okDone := false
-	defer func() {
-		if !okDone {
-			opts.job.Finish(obsrv.JobFailed)
-		}
-	}()
+	run := e.runSingle
 	if opts.Groups > 1 {
-		res, err := e.runFleet(ctx, g, opts)
-		if err != nil {
-			opts.Observer.Emit(obsrv.LevelError, "net.fail",
-				obsrv.F("net", g.Name), obsrv.F("error", err))
-			return nil, err
-		}
-		finishRun(opts, g, res)
-		okDone = true
-		return res, nil
+		run = e.runFleet
 	}
-	resolved, err := e.resolveAll(ctx, g, opts)
+	res, err := run(ctx, g, opts)
 	if err != nil {
 		opts.Observer.Emit(obsrv.LevelError, "net.fail",
 			obsrv.F("net", g.Name), obsrv.F("error", err))
+		opts.job.Finish(obsrv.JobFailed)
+		return nil, err
+	}
+	if opts.Observer.Enabled() {
+		opts.Observer.Emit(obsrv.LevelInfo, "net.finish",
+			obsrv.F("net", g.Name), obsrv.Ms("seconds_ms", res.Seconds),
+			obsrv.F("gflops", res.GFLOPS()), obsrv.F("speedup", res.Speedup),
+			obsrv.F("tuned", res.TunedOps), obsrv.F("cached", res.CachedOps),
+			obsrv.F("degraded", res.DegradedOps))
+	}
+	state := obsrv.JobDone
+	if res.DegradedOps > 0 {
+		state = obsrv.JobDegraded
+	}
+	opts.job.Finish(state)
+	return res, nil
+}
+
+// runSingle is Run on one machine: resolve every operator node, plan
+// buffers, then execute in topological order on one shared machine.
+func (e *Engine) runSingle(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	resolved, err := e.resolveAll(ctx, g, opts)
+	if err != nil {
 		return nil, err
 	}
 	opts.job.SetDetail("executing")
@@ -409,25 +433,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	if opts.Functional {
 		res.Output = ts[g.Output]
 	}
-	finishRun(opts, g, res)
-	okDone = true
 	return res, nil
-}
-
-// finishRun emits the net.finish event and closes the run's live job.
-func finishRun(opts Options, g *graph.Graph, res *Result) {
-	if opts.Observer.Enabled() {
-		opts.Observer.Emit(obsrv.LevelInfo, "net.finish",
-			obsrv.F("net", g.Name), obsrv.Ms("seconds_ms", res.Seconds),
-			obsrv.F("gflops", res.GFLOPS()), obsrv.F("speedup", res.Speedup),
-			obsrv.F("tuned", res.TunedOps), obsrv.F("cached", res.CachedOps),
-			obsrv.F("degraded", res.DegradedOps))
-	}
-	state := obsrv.JobDone
-	if res.DegradedOps > 0 {
-		state = obsrv.JobDegraded
-	}
-	opts.job.Finish(state)
 }
 
 // execEnv is one machine's execution context. The single path uses the
@@ -458,7 +464,7 @@ func (env execEnv) label() string {
 // node timelines (machine-clock times) into timeline. It is the shared
 // execution core of the single-machine path and every fleet group's part.
 func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node,
-	resolved map[string]*resolvedOp, ts map[string]*tensor.Tensor,
+	resolved map[string]*Resolved, ts map[string]*tensor.Tensor,
 	res *Result, timeline *trace.Log, env execEnv) error {
 	m := env.m
 	for _, n := range nodes {
@@ -472,11 +478,11 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 		switch n.Kind {
 		case graph.Conv, graph.Gemm:
 			r := resolved[n.Name]
-			binds, err := opBinds(n, r.prog, ts)
+			binds, err := opBinds(n, r.Program, ts)
 			if err != nil {
 				return fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
 			}
-			runRes, err := exec.Run(r.prog, binds, exec.Options{
+			runRes, err := exec.Run(r.Program, binds, exec.Options{
 				Functional: env.functional,
 				FastLoops:  !env.functional,
 				Trace:      nodeLog,
@@ -492,10 +498,10 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 			// invocation; release it before the successor plans its tiles.
 			m.ResetSPM()
 			layer.Seconds = runRes.Seconds
-			layer.Strategy = r.strategy
-			layer.Cached = r.cached
-			layer.Degraded = r.degraded
-			layer.SpaceSize = r.spaceSize
+			layer.Strategy = r.Strategy
+			layer.Cached = r.Cached
+			layer.Degraded = r.Degraded
+			layer.SpaceSize = r.SpaceSize
 			if n.Kind == graph.Conv {
 				layer.FLOPs = n.Conv.FLOPs()
 			} else {
@@ -506,18 +512,18 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 				kindName = "conv"
 			}
 			switch {
-			case r.cached:
+			case r.Cached:
 				res.CachedOps++
 				env.reg.Counter("infer_" + kindName + "_cached_total").Inc()
-			case r.degraded:
+			case r.Degraded:
 				res.DegradedOps++
 				env.reg.Counter("infer_" + kindName + "_degraded_total").Inc()
 			default:
 				res.TunedOps++
 				env.reg.Counter("infer_" + kindName + "_tuned_total").Inc()
 			}
-			if r.method != "" {
-				env.reg.Counter("infer_method_" + r.method + "_total").Inc()
+			if r.Method != "" {
+				env.reg.Counter("infer_method_" + r.Method + "_total").Inc()
 			}
 			if env.functional {
 				maxErr, err := verifyNode(n, ts)
@@ -576,7 +582,7 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 // resolveAll resolves a schedule for every operator node. Repeated shapes
 // (VGG16's conv3_2/conv3_3, …) share one resolution per run even without a
 // library attached.
-func (e *Engine) resolveAll(ctx context.Context, g *graph.Graph, opts Options) (map[string]*resolvedOp, error) {
+func (e *Engine) resolveAll(ctx context.Context, g *graph.Graph, opts Options) (map[string]*Resolved, error) {
 	return e.resolveNodes(ctx, g, g.Topo(), opts)
 }
 
@@ -584,7 +590,7 @@ func (e *Engine) resolveAll(ctx context.Context, g *graph.Graph, opts Options) (
 // subset of the graph — the hybrid fleet split resolves a shard graph's
 // convolution head without tuning the fully-connected tail it never
 // executes at the shard batch.
-func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (map[string]*resolvedOp, error) {
+func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (map[string]*Resolved, error) {
 	total := 0
 	for _, n := range nodes {
 		if n.Kind == graph.Conv || n.Kind == graph.Gemm {
@@ -592,8 +598,8 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 		}
 	}
 	opts.job.SetTotal(total)
-	memo := map[string]*resolvedOp{}
-	out := map[string]*resolvedOp{}
+	memo := map[string]*Resolved{}
+	out := map[string]*Resolved{}
 	done := 0
 	degraded := 0
 	for _, n := range nodes {
@@ -628,67 +634,59 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 		if opts.Spans != nil {
 			opts.Spans.Add(reqtrace.PhaseResolve, "resolve "+n.Name, resolveT0, time.Since(resolveT0),
 				map[string]string{
-					"cached":   strconv.FormatBool(r.cached),
-					"degraded": strconv.FormatBool(r.degraded),
+					"cached":   strconv.FormatBool(r.Cached),
+					"degraded": strconv.FormatBool(r.Degraded),
 					"memoized": strconv.FormatBool(ok),
-					"strategy": r.strategy,
+					"strategy": r.Strategy,
 				})
 		}
 		done++
-		if r.degraded {
+		if r.Degraded {
 			degraded++
 			opts.Observer.Emit(obsrv.LevelWarn, "layer.degraded",
-				obsrv.F("node", n.Name), obsrv.F("strategy", r.strategy))
+				obsrv.F("node", n.Name), obsrv.F("strategy", r.Strategy))
 		} else if opts.Observer.Enabled() {
 			opts.Observer.Emit(obsrv.LevelInfo, "layer.resolved",
-				obsrv.F("node", n.Name), obsrv.F("cached", r.cached),
-				obsrv.F("method", r.method), obsrv.F("strategy", r.strategy))
+				obsrv.F("node", n.Name), obsrv.F("cached", r.Cached),
+				obsrv.F("method", r.Method), obsrv.F("strategy", r.Strategy))
 		}
 		opts.job.Progress(done, done-degraded, degraded, 0)
-		if opts.Progress != nil {
-			opts.Progress(n.Name, done, total)
-		}
 	}
 	return out, nil
 }
 
 // resolveConv resolves a convolution node the way the paper's tuner does:
-// every applicable lowering method (implicit GEMM when the input-channel
-// count sustains it, explicit im2col, Winograd F(2x2,3x3) when the shape
-// qualifies) is tuned — or fetched from the library — independently, each
-// winner is timed on a fresh machine (a library hit takes that time from
-// the compiled-schedule table), and the fastest method's program is kept.
-// The method sweep is a fixed order with strict improvement, so the choice
-// is deterministic and identical between cached and fresh runs.
-func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*resolvedOp, error) {
-	type method struct {
-		name string
-		mk   func() (autotune.Operator, error)
-	}
-	var methods []method
-	if s.Ni >= conv.MinNiImplicit {
-		methods = append(methods, method{methodImplicit, func() (autotune.Operator, error) { return conv.NewImplicitOp(s) }})
-	}
-	methods = append(methods, method{methodExplicit, func() (autotune.Operator, error) { return conv.NewExplicitOp(s) }})
-	if conv.WinogradApplies(s) {
-		methods = append(methods, method{methodWinograd, func() (autotune.Operator, error) { return conv.NewWinogradOp(s) }})
-	}
-
-	var best *resolvedOp
+// every applicable lowering method of the conv menu is tuned — or fetched
+// from the library — independently, each winner is timed on a fresh
+// machine (Resolved.Seconds), and the fastest method's program is kept.
+// The method sweep is the menu's fixed order with strict improvement, so
+// the choice is deterministic and identical between cached and fresh runs.
+// A shape no method resolves degrades, when allowed, to the baseline of
+// its first applicable method.
+func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*Resolved, error) {
+	var best *Resolved
 	var bestSecs float64
 	var firstErr error
-	for _, m := range methods {
+	preferred := ""
+	for _, m := range conv.Menu {
+		if !m.Applies(s) {
+			continue
+		}
+		if preferred == "" {
+			preferred = m.Name
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		op, err := m.mk()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		var r *Resolved
+		var secs float64
+		op, err := m.NewOp(s)
+		if err == nil {
+			r, err = e.resolveOp(ctx, op, opts)
 		}
-		r, err := e.resolveOp(ctx, op, opts)
+		if err == nil {
+			secs, err = r.Seconds()
+		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
@@ -698,17 +696,8 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 			}
 			continue
 		}
-		secs := r.secs
-		if secs == 0 {
-			if secs, err = timeProgram(r.prog); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		r.strategy = m.name + " " + r.strategy
-		r.method = m.name
+		r.Strategy = m.Name + " " + r.Strategy
+		r.Method = m.Name
 		if best == nil || secs < bestSecs {
 			best, bestSecs = r, secs
 		}
@@ -720,10 +709,6 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 		firstErr = fmt.Errorf("no applicable conv method for %s", s.String())
 	}
 	if opts.Fallback {
-		preferred := methodExplicit
-		if s.Ni >= conv.MinNiImplicit {
-			preferred = methodImplicit
-		}
 		return degrade(firstErr, func() (*ir.Program, error) { return baseline.FallbackConv(preferred, s) })
 	}
 	return nil, firstErr
@@ -731,32 +716,39 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 
 // resolveGemm resolves a fully-connected node through the tiled-GEMM
 // operator, degrading to the xMath-style baseline when allowed.
-func (e *Engine) resolveGemm(ctx context.Context, p gemm.Params, opts Options) (*resolvedOp, error) {
+func (e *Engine) resolveGemm(ctx context.Context, p gemm.Params, opts Options) (*Resolved, error) {
 	op, err := gemm.NewOp(p)
 	if err != nil {
 		return nil, err
 	}
+	return e.Resolve(ctx, op, func() (*ir.Program, error) { return baseline.FallbackGemm(p) }, opts)
+}
+
+// Resolve resolves one operator's schedule through the engine's resolver —
+// the path Run takes for every operator node and the swatop facade's
+// Tuner takes for single operators (see resolveOp). When tuning fails for
+// any reason but explicit cancellation and opts.Fallback is set, it
+// degrades to fallback's manual program, which is never cached.
+func (e *Engine) Resolve(ctx context.Context, op autotune.Operator,
+	fallback func() (*ir.Program, error), opts Options) (*Resolved, error) {
 	r, err := e.resolveOp(ctx, op, opts)
-	if err != nil {
-		if opts.Fallback && !errors.Is(err, context.Canceled) {
-			return degrade(err, func() (*ir.Program, error) { return baseline.FallbackGemm(p) })
-		}
-		return nil, err
+	if err != nil && opts.Fallback && !errors.Is(err, context.Canceled) {
+		return degrade(err, fallback)
 	}
-	return r, nil
+	return r, err
 }
 
 // degrade builds the never-cached baseline-fallback resolution for a node
 // whose tuning failed.
-func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*resolvedOp, error) {
+func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*Resolved, error) {
 	prog, ferr := fallback()
 	if ferr != nil {
 		return nil, fmt.Errorf("tuning failed (%v); baseline fallback also failed: %w", tuneErr, ferr)
 	}
-	return &resolvedOp{
-		prog:     prog,
-		strategy: fmt.Sprintf("baseline fallback (tuning failed: %v)", tuneErr),
-		degraded: true,
+	return &Resolved{
+		Program:  prog,
+		Strategy: fmt.Sprintf("baseline fallback (tuning failed: %v)", tuneErr),
+		Degraded: true,
 	}, nil
 }
 
@@ -764,27 +756,27 @@ func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*resolvedOp, 
 // the caller either degrades to the baseline or surfaces the miss.
 var errNoTune = errors.New("tuning disabled (schedule not in library)")
 
-// resolveOp mirrors the facade tuner's cache-then-tune flow for one
-// operator: a library hit takes the cached strategy's program from the
-// compiled-schedule table, compiling and timing it on the table's first
-// sight of that signature and strategy (stale entries that no longer
-// compile are dropped and retuned); a miss runs the model-based search and
-// records the result. Only library hits enter the table — fresh tunes and
-// degraded fallbacks never do — so the library alone decides every pick.
-func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Options) (*resolvedOp, error) {
+// resolveOp is the cache-then-tune flow for one operator: a library hit
+// takes the cached strategy's program from the compiled-schedule table,
+// compiling and timing it on the table's first sight of that signature and
+// strategy (stale entries that no longer compile are dropped and retuned);
+// a miss runs the model-based search and records the result. Only library
+// hits enter the table — fresh tunes and degraded fallbacks never do — so
+// the library alone decides every pick.
+func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Options) (*Resolved, error) {
 	if opts.Library != nil {
 		if ent, ok := opts.Library.Get(op.Name()); ok {
 			st := ent.Strategy()
-			r := &resolvedOp{strategy: st.String(), spaceSize: ent.SpaceSize, cached: true}
-			key := compiledKey(op.Name(), r.strategy)
+			r := &Resolved{Strategy: st.String(), SpaceSize: ent.SpaceSize, Cached: true}
+			key := compiledKey(op.Name(), r.Strategy)
 			if c, ok := e.compiled.get(key); ok {
-				r.prog, r.secs = c.prog, c.secs
+				r.Program, r.secs = c.prog, c.secs
 				return r, nil
 			}
 			prog, err := op.Compile(st)
 			if err == nil {
-				r.prog = prog
-				if secs, err := timeProgram(prog); err == nil {
+				r.Program = prog
+				if secs, err := exec.RunTimed(prog, exec.Options{}); err == nil {
 					r.secs = secs
 					e.compiled.put(key, compiledSchedule{prog: prog, secs: secs})
 				}
@@ -814,10 +806,13 @@ func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Optio
 	if opts.Library != nil {
 		opts.Library.Put(cache.FromStrategy(op.Name(), res.Best.Strategy, res.Best.Measured, res.Valid))
 	}
-	return &resolvedOp{
-		prog:      res.Best.Program,
-		strategy:  res.Best.Strategy.String(),
-		spaceSize: res.Valid,
+	return &Resolved{
+		Program:     res.Best.Program,
+		Strategy:    res.Best.Strategy.String(),
+		SpaceSize:   res.Valid,
+		SpacePoints: res.SpaceSize,
+		Measured:    res.Measured,
+		Failed:      res.FailedCandidates,
 	}, nil
 }
 
@@ -865,7 +860,7 @@ func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map
 // others stay identity. In functional mode, arena-assigned activations
 // share the two ping-pong buffers; everything else gets dedicated storage.
 // Timed-only runs allocate no data at all.
-func allocTensors(g *graph.Graph, resolved map[string]*resolvedOp, plan Plan, functional bool) (map[string]*tensor.Tensor, error) {
+func allocTensors(g *graph.Graph, resolved map[string]*Resolved, plan Plan, functional bool) (map[string]*tensor.Tensor, error) {
 	type spec struct {
 		dims   []int
 		layout []int
@@ -879,7 +874,7 @@ func allocTensors(g *graph.Graph, resolved map[string]*resolvedOp, plan Plan, fu
 		if r == nil {
 			continue
 		}
-		for _, decl := range r.prog.Tensors {
+		for _, decl := range r.Program.Tensors {
 			if decl.Scratch {
 				continue
 			}
@@ -1066,21 +1061,9 @@ func measureBaseline(n *graph.Node) baselineTime {
 		if err != nil {
 			continue
 		}
-		if s, err := timeProgram(prog); err == nil {
+		if s, err := exec.RunTimed(prog, exec.Options{}); err == nil {
 			return baselineTime{secs: s, ok: true}
 		}
 	}
 	return baselineTime{}
-}
-
-func timeProgram(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
 }

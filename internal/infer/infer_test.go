@@ -3,11 +3,13 @@ package infer
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"swatop/internal/cache"
 	"swatop/internal/faults"
 	"swatop/internal/graph"
+	"swatop/internal/obsrv"
 	"swatop/internal/workloads"
 )
 
@@ -219,6 +221,42 @@ func TestInferCancellation(t *testing.T) {
 	cancel()
 	if _, err := e.Run(ctx, g, Options{Fallback: true, SkipBaseline: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestInferExecFailureEmitsNetFail: a single-group run that fails during
+// execution (here a functional oracle check under an impossible tolerance)
+// ends like every other failed run — a net.fail event after net.start and
+// a failed infer job.
+func TestInferExecFailureEmitsNetFail(t *testing.T) {
+	obs := obsrv.New()
+	_, err := newEngine(t).Run(context.Background(), tinyChain(t, 2), Options{
+		Library:      cache.NewLibrary(),
+		Functional:   true,
+		Tolerance:    1e-12,
+		SkipBaseline: true,
+		Observer:     obs,
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeds tolerance") {
+		t.Fatalf("err = %v, want a tolerance failure", err)
+	}
+	var kinds []string
+	for _, ev := range obs.Flight().Snapshot() {
+		if strings.HasPrefix(ev.Kind, "net.") {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	if strings.Join(kinds, ",") != "net.start,net.fail" {
+		t.Fatalf("net events %v, want [net.start net.fail]", kinds)
+	}
+	var infer []obsrv.JobStatus
+	for _, j := range obs.Jobs().Snapshot() {
+		if j.Kind == "infer" {
+			infer = append(infer, j)
+		}
+	}
+	if len(infer) != 1 || infer[0].State != obsrv.JobFailed {
+		t.Fatalf("infer jobs %+v, want one failed job", infer)
 	}
 }
 

@@ -172,8 +172,6 @@ var defaultHelp = map[string]string{
 	"cache_commit_failures_total":      "Library saves that failed.",
 	"cache_loaded_entries_total":       "Entries accepted while loading a library file.",
 	"cache_quarantined_total":          "Entries rejected (quarantined) while loading a library file.",
-	"tuner_cache_hits_total":           "Tuner-level library hits serving a cached schedule.",
-	"tuner_cache_misses_total":         "Tuner-level library misses that forced tuning.",
 	"tuner_degraded_total":             "Operators degraded to the manual baseline schedule.",
 	"infer_machine_seconds":            "Simulated machine seconds of the whole network run.",
 	"infer_arena_peak_bytes":           "Peak bytes of the activation buffer-reuse arena.",

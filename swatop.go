@@ -14,7 +14,6 @@ package swatop
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -24,10 +23,10 @@ import (
 	"swatop/internal/cache"
 	"swatop/internal/codegen"
 	"swatop/internal/conv"
-	"swatop/internal/costmodel"
 	"swatop/internal/exec"
 	"swatop/internal/faults"
 	"swatop/internal/gemm"
+	"swatop/internal/infer"
 	"swatop/internal/ir"
 	"swatop/internal/obsrv"
 	"swatop/internal/search"
@@ -100,11 +99,11 @@ type GemmParams = gemm.Params
 // Conv methods.
 const (
 	// Implicit is the implicit-GEMM direct convolution (Alg. 2).
-	Implicit = "implicit"
+	Implicit = conv.Implicit
 	// Explicit is the im2col + GEMM convolution.
-	Explicit = "explicit"
+	Explicit = conv.Explicit
 	// Winograd is the F(2×2,3×3) fast convolution.
-	Winograd = "winograd"
+	Winograd = conv.Winograd
 )
 
 // Searcher is a sample-efficient search strategy: instead of estimating
@@ -138,32 +137,24 @@ func SearcherByName(name string) (Searcher, error) {
 }
 
 // Tuner is swATOP's performance-model-based autotuner with its fitted
-// Eq. (2) cost model (calibrated once against the simulated machine).
+// Eq. (2) cost model (calibrated once against the simulated machine). It
+// resolves each operator through the same engine resolver the network
+// runtime uses: library hit, else tune and record, else (with
+// FallbackBaseline) the manual baseline.
 type Tuner struct {
-	model        *costmodel.GemmModel
-	lib          *Library
-	workers      int
-	progress     func(done, valid int, best float64)
-	fallback     FallbackPolicy
-	faults       *faults.Injector
-	retry        autotune.Retry
-	maxFailures  int
-	metrics      *MetricsRegistry
-	observer     *Observer
-	searcher     Searcher
-	searchBudget float64
-	searchSeed   uint64
+	eng  *infer.Engine
+	opts infer.Options
 }
 
 // UseLibrary attaches a schedule cache: tuning consults it first and
 // records new results into it.
 func (t *Tuner) UseLibrary(l *Library) {
-	t.lib = l
-	if l != nil && t.metrics != nil {
-		l.SetMetrics(t.metrics)
+	t.opts.Library = l
+	if l != nil && t.opts.Metrics != nil {
+		l.SetMetrics(t.opts.Metrics)
 	}
-	if l != nil && t.observer != nil {
-		l.SetObserver(t.observer)
+	if l != nil && t.opts.Observer != nil {
+		l.SetObserver(t.opts.Observer)
 	}
 }
 
@@ -176,9 +167,9 @@ func (t *Tuner) UseLibrary(l *Library) {
 // attaching an observer changes neither the selected schedule nor any
 // metric.
 func (t *Tuner) SetObserver(o *Observer) {
-	t.observer = o
-	if t.lib != nil {
-		t.lib.SetObserver(o)
+	t.opts.Observer = o
+	if t.opts.Library != nil {
+		t.opts.Library.SetObserver(o)
 	}
 }
 
@@ -188,9 +179,9 @@ func (t *Tuner) SetObserver(o *Observer) {
 // attached Library, if any, reports its hit/miss/commit activity to the
 // same registry. Passing nil detaches.
 func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
-	t.metrics = reg
-	if t.lib != nil {
-		t.lib.SetMetrics(reg)
+	t.opts.Metrics = reg
+	if t.opts.Library != nil {
+		t.opts.Library.SetMetrics(reg)
 	}
 }
 
@@ -200,33 +191,16 @@ func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
 // identical for every worker count — candidates are merged by
 // (prediction, enumeration index) — so parallelism only shrinks host wall
 // time.
-func (t *Tuner) SetWorkers(n int) { t.workers = n }
-
-// SetProgress installs a tuning progress callback, invoked from a single
-// goroutine after each candidate with the processed and valid counts. It is
-// the compatibility form of SetProgressBest; the best-score argument is
-// dropped.
-func (t *Tuner) SetProgress(fn func(done, valid int)) {
-	if fn == nil {
-		t.progress = nil
-		return
-	}
-	t.progress = func(done, valid int, _ float64) { fn(done, valid) }
-}
-
-// SetProgressBest installs a tuning progress callback that also receives
-// the best score seen so far (predicted seconds during the search, 0 while
-// no valid candidate exists), for live best-score progress lines.
-func (t *Tuner) SetProgressBest(fn func(done, valid int, best float64)) { t.progress = fn }
+func (t *Tuner) SetWorkers(n int) { t.opts.Workers = n }
 
 // SetFallback selects the degradation policy for failed or deadline-
 // expired tuning runs.
-func (t *Tuner) SetFallback(p FallbackPolicy) { t.fallback = p }
+func (t *Tuner) SetFallback(p FallbackPolicy) { t.opts.Fallback = p == FallbackBaseline }
 
 // SetFaults attaches a fault injector to every measurement this tuner
 // performs (nil detaches). Production tuners never need this; it exists so
 // integrations can rehearse their failure handling deterministically.
-func (t *Tuner) SetFaults(in *FaultInjector) { t.faults = in }
+func (t *Tuner) SetFaults(in *FaultInjector) { t.opts.Faults = in }
 
 // SetRetry configures capped exponential backoff with jitter for
 // transient measurement errors: attempts is the total number of tries per
@@ -234,13 +208,13 @@ func (t *Tuner) SetFaults(in *FaultInjector) { t.faults = in }
 // delay, max the cap. Retries never change the selected schedule or the
 // simulated-time ledger — only host wall time.
 func (t *Tuner) SetRetry(attempts int, base, max time.Duration) {
-	t.retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
+	t.opts.Retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
 }
 
 // SetMaxCandidateFailures aborts a tuning run once more than n candidates
 // have failed (panicked or exhausted retries) — a circuit breaker against
 // a systematically broken environment. 0 (the default) means unlimited.
-func (t *Tuner) SetMaxCandidateFailures(n int) { t.maxFailures = n }
+func (t *Tuner) SetMaxCandidateFailures(n int) { t.opts.MaxCandidateFailures = n }
 
 // SetSearcher switches tuning from the exhaustive estimate-everything walk
 // to sample-efficient search (nil switches back — the default, which stays
@@ -248,38 +222,32 @@ func (t *Tuner) SetMaxCandidateFailures(n int) { t.maxFailures = n }
 // measures at most the budget fraction of each space (SetSearchBudget) and,
 // when a Library is attached, seeds the search from the nearest
 // already-tuned shapes of the same operator family.
-func (t *Tuner) SetSearcher(s Searcher) { t.searcher = s }
+func (t *Tuner) SetSearcher(s Searcher) { t.opts.Searcher = s }
 
 // SetSearchBudget caps the fraction of the candidate space a searcher may
 // measure (0 restores the 0.10 default). No effect without a searcher.
-func (t *Tuner) SetSearchBudget(frac float64) { t.searchBudget = frac }
+func (t *Tuner) SetSearchBudget(frac float64) { t.opts.SearchBudget = frac }
 
 // SetSearchSeed pins the searcher's RNG seed. 0 (the default) derives a
 // stable per-operator seed, so repeated runs already reproduce; set an
 // explicit seed to decorrelate or correlate runs on purpose.
-func (t *Tuner) SetSearchSeed(seed uint64) { t.searchSeed = seed }
+func (t *Tuner) SetSearchSeed(seed uint64) { t.opts.SearchSeed = seed }
 
 // NewTuner fits the cost model (the per-machine offline calibration).
 func NewTuner() (*Tuner, error) {
-	m, err := costmodel.FitGemmModel()
+	eng, err := infer.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{model: m}, nil
+	return &Tuner{eng: eng}, nil
 }
 
 // Tuned is a tuned operator: the selected schedule, its compiled program,
 // and its measured (simulated) performance.
 type Tuned struct {
-	program     *ir.Program
-	strategy    string
-	seconds     float64
-	spaceSize   int
-	spacePoints int
-	measured    int
-	flops       int64
-	degraded    bool
-	failed      int
+	r       *infer.Resolved
+	seconds float64
+	flops   int64
 }
 
 // TuneGemm searches the GEMM schedule space for a problem size.
@@ -296,7 +264,7 @@ func (t *Tuner) TuneGemmCtx(ctx context.Context, p GemmParams) (*Tuned, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.tune(ctx, op, p.FLOPs(), func() (*ir.Program, error) {
+	return t.resolve(ctx, op, p.FLOPs(), func() (*ir.Program, error) {
 		return baseline.FallbackGemm(p)
 	})
 }
@@ -309,112 +277,36 @@ func (t *Tuner) TuneConv(method string, s ConvShape) (*Tuned, error) {
 // TuneConvCtx is TuneConv with cancellation: the candidate search stops
 // promptly when ctx is canceled and returns ctx's error.
 func (t *Tuner) TuneConvCtx(ctx context.Context, method string, s ConvShape) (*Tuned, error) {
-	var op autotune.Operator
-	var err error
-	switch method {
-	case Implicit:
-		op, err = conv.NewImplicitOp(s)
-	case Explicit:
-		op, err = conv.NewExplicitOp(s)
-	case Winograd:
-		op, err = conv.NewWinogradOp(s)
-	default:
-		return nil, fmt.Errorf("swatop: unknown conv method %q", method)
-	}
+	op, err := conv.NewOp(method, s)
 	if err != nil {
 		return nil, err
 	}
-	return t.tune(ctx, op, s.FLOPs(), func() (*ir.Program, error) {
+	return t.resolve(ctx, op, s.FLOPs(), func() (*ir.Program, error) {
 		return baseline.FallbackConv(method, s)
 	})
 }
 
-func (t *Tuner) tune(ctx context.Context, op autotune.Operator, flops int64,
+// resolve runs one operator through the engine's resolver and reports the
+// outcome: a failure dumps the flight recorder, a degradation also counts
+// and logs it.
+func (t *Tuner) resolve(ctx context.Context, op autotune.Operator, flops int64,
 	fallback func() (*ir.Program, error)) (*Tuned, error) {
-	if t.lib != nil {
-		if e, ok := t.lib.Get(op.Name()); ok {
-			prog, err := op.Compile(e.Strategy())
-			if err == nil {
-				t.metrics.Counter("tuner_cache_hits_total").Inc()
-				return &Tuned{
-					program:   prog,
-					strategy:  e.Strategy().String(),
-					seconds:   e.SimulatedSeconds,
-					spaceSize: e.SpaceSize,
-					flops:     flops,
-				}, nil
-			}
-			// The entry no longer compiles (stale schema, changed menus):
-			// drop it so it cannot shadow the fresh result below, then
-			// fall through to a full tuning.
-			t.lib.Delete(op.Name())
-		}
+	r, err := t.eng.Resolve(ctx, op, fallback, t.opts)
+	var secs float64
+	if err == nil {
+		secs, err = r.Seconds()
 	}
-	if t.lib != nil {
-		t.metrics.Counter("tuner_cache_misses_total").Inc()
-	}
-	res, err := autotune.ModelBasedCtx(ctx, op, t.model, autotune.Options{
-		Workers:              t.workers,
-		Progress:             t.progress,
-		Faults:               t.faults,
-		Retry:                t.retry,
-		MaxCandidateFailures: t.maxFailures,
-		Metrics:              t.metrics,
-		Observer:             t.observer,
-		Searcher:             t.searcher,
-		SearchBudget:         t.searchBudget,
-		SearchSeed:           t.searchSeed,
-		Transfer:             t.lib,
-	})
 	if err != nil {
-		if t.fallback == FallbackBaseline && !errors.Is(err, context.Canceled) {
-			t.metrics.Counter("tuner_degraded_total").Inc()
-			t.observer.AutoDump("baseline fallback: " + op.Name())
-			return t.degrade(op.Name(), fallback, flops, err)
-		}
-		t.observer.AutoDump("tune failed: " + op.Name())
+		t.opts.Observer.AutoDump("tune failed: " + op.Name())
 		return nil, err
 	}
-	if t.lib != nil {
-		t.lib.Put(cache.FromStrategy(op.Name(), res.Best.Strategy, res.Best.Measured, res.Valid))
+	if r.Degraded {
+		t.opts.Metrics.Counter("tuner_degraded_total").Inc()
+		t.opts.Observer.Emit(obsrv.LevelWarn, "tuner.degraded",
+			obsrv.F("op", op.Name()), obsrv.F("strategy", r.Strategy))
+		t.opts.Observer.AutoDump("baseline fallback: " + op.Name())
 	}
-	return &Tuned{
-		program:     res.Best.Program,
-		strategy:    res.Best.Strategy.String(),
-		seconds:     res.Best.Measured,
-		spaceSize:   res.Valid,
-		spacePoints: res.SpaceSize,
-		measured:    res.Measured,
-		flops:       flops,
-		failed:      res.FailedCandidates,
-	}, nil
-}
-
-// degrade serves the manual baseline schedule in place of a failed tuning
-// run. The baseline is measured without fault injection — degradation is
-// the recovery path, and it must stay available while the injector is
-// sabotaging tuning measurements. Degraded results are never cached: the
-// next tuning attempt should search again, not be shadowed by the
-// emergency answer.
-func (t *Tuner) degrade(name string, fallback func() (*ir.Program, error),
-	flops int64, cause error) (*Tuned, error) {
-	t.observer.Emit(obsrv.LevelWarn, "tuner.degraded",
-		obsrv.F("op", name), obsrv.F("cause", cause))
-	prog, err := fallback()
-	if err != nil {
-		return nil, fmt.Errorf("swatop: tuning %s failed (%v); baseline fallback also failed: %w", name, cause, err)
-	}
-	secs, err := runTimed(prog)
-	if err != nil {
-		return nil, fmt.Errorf("swatop: tuning %s failed (%v); baseline fallback failed to run: %w", name, cause, err)
-	}
-	return &Tuned{
-		program:  prog,
-		strategy: fmt.Sprintf("baseline fallback (tuning failed: %v)", cause),
-		seconds:  secs,
-		flops:    flops,
-		degraded: true,
-	}, nil
+	return &Tuned{r: r, seconds: secs, flops: flops}, nil
 }
 
 // Seconds returns the simulated execution time of the tuned operator on
@@ -425,32 +317,32 @@ func (t *Tuned) Seconds() float64 { return t.seconds }
 func (t *Tuned) GFLOPS() float64 { return float64(t.flops) / t.seconds / 1e9 }
 
 // Strategy describes the selected schedule.
-func (t *Tuned) Strategy() string { return t.strategy }
+func (t *Tuned) Strategy() string { return t.r.Strategy }
 
 // SpaceSize is the number of valid schedules that were considered.
-func (t *Tuned) SpaceSize() int { return t.spaceSize }
+func (t *Tuned) SpaceSize() int { return t.r.SpaceSize }
 
 // SpacePoints is the number of raw points in the schedule space — the
 // coverage denominator for budgeted searches. 0 for cache hits (the space
 // was never re-enumerated).
-func (t *Tuned) SpacePoints() int { return t.spacePoints }
+func (t *Tuned) SpacePoints() int { return t.r.SpacePoints }
 
 // MeasuredCandidates is how many candidates were actually run on the
 // simulated machine. 0 when tuning used the exhaustive walk (which
 // estimates everything but measures only the finalists) or hit the cache.
-func (t *Tuned) MeasuredCandidates() int { return t.measured }
+func (t *Tuned) MeasuredCandidates() int { return t.r.Measured }
 
 // Degraded reports whether this result is the baseline fallback served in
 // place of a failed or deadline-expired tuning run (FallbackBaseline).
-func (t *Tuned) Degraded() bool { return t.degraded }
+func (t *Tuned) Degraded() bool { return t.r.Degraded }
 
 // FailedCandidates is the number of candidates whose evaluation panicked
 // or exhausted its retries during the search; they were skipped, never
 // selected.
-func (t *Tuned) FailedCandidates() int { return t.failed }
+func (t *Tuned) FailedCandidates() int { return t.r.Failed }
 
 // EmitC generates the SW26010 C code of the tuned operator.
-func (t *Tuned) EmitC() (string, error) { return codegen.EmitC(t.program) }
+func (t *Tuned) EmitC() (string, error) { return codegen.EmitC(t.r.Program) }
 
 // Trace re-runs the tuned operator with timeline recording and returns a
 // textual summary, a coarse Gantt chart and a roofline block — showing, in
@@ -475,18 +367,18 @@ func (t *Tuned) WriteChromeTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	log.Annotate("op", t.program.Name)
-	log.Annotate("strategy", t.strategy)
+	log.Annotate("op", t.r.Program.Name)
+	log.Annotate("strategy", t.r.Strategy)
 	return log.WriteChromeTrace(w)
 }
 
 func (t *Tuned) timeline() (*trace.Log, exec.Result, error) {
-	binds, err := exec.BindVirtual(t.program)
+	binds, err := exec.BindVirtual(t.r.Program)
 	if err != nil {
 		return nil, exec.Result{}, err
 	}
 	var log trace.Log
-	res, err := exec.Run(t.program, binds, exec.Options{Trace: &log})
+	res, err := exec.Run(t.r.Program, binds, exec.Options{Trace: &log})
 	if err != nil {
 		return nil, exec.Result{}, err
 	}
@@ -494,17 +386,17 @@ func (t *Tuned) timeline() (*trace.Log, exec.Result, error) {
 }
 
 // PrintIR renders the optimized intermediate representation.
-func (t *Tuned) PrintIR() string { return ir.Print(t.program) }
+func (t *Tuned) PrintIR() string { return ir.Print(t.r.Program) }
 
 // VerifyGemm executes the tuned GEMM functionally on the simulator and
 // checks the result against a reference implementation, returning the
 // maximum absolute error.
 func (t *Tuned) VerifyGemm() (float64, error) {
-	binds, err := gemm.Bind(t.program)
+	binds, err := gemm.Bind(t.r.Program)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := exec.Run(t.program, binds, exec.Options{Functional: true}); err != nil {
+	if _, err := exec.Run(t.r.Program, binds, exec.Options{Functional: true}); err != nil {
 		return 0, err
 	}
 	want, err := tensor.ReferenceGemm(binds["A"], binds["B"], 1, 0)
@@ -521,39 +413,16 @@ func BaselineGemmSeconds(p GemmParams) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return runTimed(prog)
+	return exec.RunTimed(prog, exec.Options{})
 }
 
 // BaselineConvSeconds measures the best manual convolution (swDNN for
 // implicit, xMath-based manual code otherwise). An error for Implicit at
 // unsupported batch sizes mirrors swDNN's real limitation.
 func BaselineConvSeconds(method string, s ConvShape) (float64, error) {
-	var prog *ir.Program
-	var err error
-	switch method {
-	case Implicit:
-		prog, err = baseline.SwDNNImplicit(s)
-	case Explicit:
-		prog, err = baseline.ManualExplicit(s)
-	case Winograd:
-		prog, err = baseline.ManualWinograd(s)
-	default:
-		return 0, fmt.Errorf("swatop: unknown conv method %q", method)
-	}
+	prog, err := baseline.ManualConv(method, s)
 	if err != nil {
 		return 0, err
 	}
-	return runTimed(prog)
-}
-
-func runTimed(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+	return exec.RunTimed(prog, exec.Options{})
 }

@@ -6,6 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"swatop/internal/autotune"
+	"swatop/internal/baseline"
+	"swatop/internal/conv"
+	"swatop/internal/gemm"
+	"swatop/internal/infer"
+	"swatop/internal/ir"
 )
 
 var (
@@ -179,11 +186,11 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.SetWorkers(8)
-	lastDone := 0
-	tn.SetProgress(func(done, valid int) { lastDone = done })
+	obs := NewObserver()
+	tn.SetObserver(obs)
 	defer func() {
 		tn.SetWorkers(0)
-		tn.SetProgress(nil)
+		tn.SetObserver(nil)
 	}()
 	par, err := tn.TuneGemm(p)
 	if err != nil {
@@ -195,8 +202,9 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 			seq.Strategy(), seq.Seconds(), seq.SpaceSize(),
 			par.Strategy(), par.Seconds(), par.SpaceSize())
 	}
-	if lastDone == 0 {
-		t.Fatal("progress callback never fired")
+	jobs := obs.Jobs().Snapshot()
+	if len(jobs) != 1 || jobs[0].Kind != "tune" || jobs[0].Done == 0 {
+		t.Fatalf("want one tune job with progress, got %+v", jobs)
 	}
 }
 
@@ -220,5 +228,85 @@ func TestFacadeBaselineGemm(t *testing.T) {
 	}
 	if secs <= 0 {
 		t.Fatal("non-positive baseline time")
+	}
+}
+
+// TestFacadeMatchesEngine: the facade tuner and the network runtime resolve
+// an operator through one resolver, so for a GEMM and a conv per method
+// they agree on strategy and seconds — tuned cold, served from the library,
+// and served from an entry whose stored seconds no longer match its
+// program (reported seconds always come from running the program).
+func TestFacadeMatchesEngine(t *testing.T) {
+	s := ConvShape{B: 4, Ni: 32, No: 32, Ro: 8, Co: 8, Kr: 3, Kc: 3}
+	p := GemmParams{M: 256, N: 192, K: 128}
+	type opCase struct {
+		name     string
+		facade   func(*Tuner) (*Tuned, error)
+		op       func() (autotune.Operator, error)
+		fallback func() (*ir.Program, error)
+	}
+	cases := []opCase{{
+		name:     "gemm",
+		facade:   func(tn *Tuner) (*Tuned, error) { return tn.TuneGemm(p) },
+		op:       func() (autotune.Operator, error) { return gemm.NewOp(p) },
+		fallback: func() (*ir.Program, error) { return baseline.FallbackGemm(p) },
+	}}
+	for _, method := range []string{Implicit, Explicit, Winograd} {
+		cases = append(cases, opCase{
+			name:     method,
+			facade:   func(tn *Tuner) (*Tuned, error) { return tn.TuneConv(method, s) },
+			op:       func() (autotune.Operator, error) { return conv.NewOp(method, s) },
+			fallback: func() (*ir.Program, error) { return baseline.FallbackConv(method, s) },
+		})
+	}
+	for _, c := range cases {
+		facadeLib, engineLib := NewLibrary(), NewLibrary()
+		var want float64
+		check := func(stage string) {
+			t.Helper()
+			tn := sharedTuner(t)
+			tn.UseLibrary(facadeLib)
+			defer tn.UseLibrary(nil)
+			f, err := c.facade(tn)
+			if err != nil {
+				t.Fatalf("%s %s: facade: %v", c.name, stage, err)
+			}
+			eng, err := infer.NewEngine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := c.op()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := eng.Resolve(context.Background(), op, c.fallback, infer.Options{Library: engineLib})
+			if err != nil {
+				t.Fatalf("%s %s: engine: %v", c.name, stage, err)
+			}
+			secs, err := r.Seconds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Strategy() != r.Strategy || f.Seconds() != secs {
+				t.Fatalf("%s %s: facade %s (%v s) vs engine %s (%v s)",
+					c.name, stage, f.Strategy(), f.Seconds(), r.Strategy, secs)
+			}
+			if want == 0 {
+				want = secs
+			}
+			if secs != want {
+				t.Fatalf("%s %s: %v s, want the cold-tuned %v s", c.name, stage, secs, want)
+			}
+		}
+		check("cold")
+		check("library hit")
+		for _, lib := range []*Library{facadeLib, engineLib} {
+			sig := lib.Signatures()[0]
+			e, _ := lib.Get(sig)
+			e.SimulatedSeconds *= 2
+			lib.Delete(sig)
+			lib.Put(e)
+		}
+		check("doubled stored seconds")
 	}
 }
